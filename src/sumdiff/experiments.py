@@ -24,6 +24,7 @@ from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, p_of, sample, sample_uniforms
 from .sets import (
+    PAIR_BUDGET,
     IntegerSet,
     LinearForm,
     diffset,
@@ -37,7 +38,8 @@ from .thresholds import classify_pair
 from .bounds import BoundReport, bound_report
 
 SCHEMA_VERSION = "1"
-PAIR_BUDGET = 10**10
+# The leading CSV columns that identify a record; the rest are statistics.
+_KEY_COLUMNS = ("schema_version", "N", "p", "trial_index")
 MAX_ENUMERATION_N = 26
 MAX_K = 8
 
@@ -169,6 +171,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     if spec.sizes or spec.missing:
         sum_size = sumset(a).count
         diff_size = diffset(a).count
+    if spec.missing:
         miss_s = total - sum_size
         miss_d = total - diff_size
 
@@ -217,7 +220,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
 
 
 def _estimated_pair_ops(config: ExperimentConfig) -> float:
-    """Upfront |A|^2 histogram cost; bit-parallel size kernels are not budgeted."""
+    """Upfront |A|^2 histogram cost; sumset, diffset and form images are not budgeted."""
     spec = config.statistics
     total = 0.0
     for n in config.n_list:
@@ -275,25 +278,11 @@ def _summarize(values: Sequence[float], prediction: float | None) -> StatSummary
 def form_column_stem(form: LinearForm) -> str:
     return "form_" + "_".join(str(c) for c in form.coeffs)
 
-def _record_statistics(record: TrialRecord) -> dict[str, float]:
-    out: dict[str, float] = {"set_size": record.set_size}
-    if record.sumset_size is not None:
-        out["sumset_size"] = record.sumset_size
-        out["diffset_size"] = record.diffset_size
-    if record.missing_sums is not None:
-        out["missing_sums"] = record.missing_sums
-        out["missing_diffs"] = record.missing_diffs
-    for f, size in record.form_sizes.items():
-        stem = form_column_stem(f)
-        out[f"{stem}_size"] = size
-        out[f"{stem}_missing"] = record.form_missing[f]
-    for k, xk in enumerate(record.x, start=1):
-        out[f"x{k}"] = xk
-    for k, xpk in enumerate(record.xp, start=1):
-        out[f"xp{k}"] = xpk
-    if record.y is not None:
-        out["y"] = record.y
-    return out
+
+def _record_statistics(record: TrialRecord, spec: StatisticsSpec) -> dict[str, float]:
+    """The record's statistic columns: every column after _KEY_COLUMNS."""
+    keys = len(_KEY_COLUMNS)
+    return dict(zip(csv_columns(spec)[keys:], _record_cells(record, spec)[keys:]))
 
 
 def _prediction_for(name: str, bundle: PredictionBundle | None) -> float | None:
@@ -330,7 +319,7 @@ def summarize_records(
             bundle = asymptotic_bundle(n, config.family, diff_forms)
         per_stat: dict[str, list[float]] = {}
         for r in rows:
-            for name, value in _record_statistics(r).items():
+            for name, value in _record_statistics(r, config.statistics).items():
                 per_stat.setdefault(name, []).append(value)
         summaries[n] = {
             name: _summarize(vals, _prediction_for(name, bundle))
@@ -382,7 +371,7 @@ def _format_value(value) -> str:
 
 
 def csv_columns(spec: StatisticsSpec) -> list[str]:
-    cols = ["schema_version", "N", "p", "trial_index", "set_size"]
+    cols = [*_KEY_COLUMNS, "set_size"]
     if spec.sizes or spec.missing:
         cols += ["sumset_size", "diffset_size"]
     if spec.missing:

@@ -1,10 +1,11 @@
 """Exact set arithmetic and collision statistics for finite integer sets.
 
 An :class:`IntegerSet` stores a subset of an integer interval ``[lo, hi]``
-as a bit mask (one Python big integer, bit ``m - lo`` set iff ``m`` is a
-member) together with the sorted member array.  Sumsets and difference
-sets are computed by bit-parallel shift-accumulate over the members;
-representation histograms by chunked numpy bincounts over ordered pairs.
+as its sorted member array.  Every image (sumset, difference set, linear-
+form image) and every representation histogram is the support, or the
+values, of a convolution of dilated indicator vectors of A.  One primitive
+computes it: by direct pair sums for small sets, by a real FFT whose
+rounding is checked to be exact for large ones.
 
 All operations are pure: values never mutate after construction.
 """
@@ -20,17 +21,22 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 
-# Elementary pair operations allowed per histogram / image call.
+# Elementary pair operations allowed per histogram, k-ary image or experiment.
 PAIR_BUDGET = 10**10
 
 # Rows are blocked so each outer-product chunk stays ~10^7 entries.
 _CHUNK_ENTRIES = 10**7
 
+# Direct pairs run unless |left|*|right| > this * nfft*log2(nfft): the cost
+# of one FFT step over the cost of one pair, measured near the break-even
+# at N = 10^6, |A| ~ 6000 (4-5 ns over 5-6 ns; see the table in CHANGES.md).
+_PAIRS_PER_FFT_STEP = 0.8
+
 
 class IntegerSet:
     """Immutable subset of the integer interval ``[lo, hi]``."""
 
-    __slots__ = ("lo", "hi", "_members", "_mask")
+    __slots__ = ("lo", "hi", "_members")
 
     def __init__(self, elements: Iterable[int], lo: int, hi: int):
         if lo > hi:
@@ -39,45 +45,30 @@ class IntegerSet:
         if members.size and (members[0] < lo or members[-1] > hi):
             bad = members[(members < lo) | (members > hi)]
             raise ValueError(f"elements outside [{lo}, {hi}]: {bad[:5].tolist()}")
+        self._assign(members, lo, hi)
+
+    def _assign(self, members: np.ndarray, lo: int, hi: int) -> "IntegerSet":
         self.lo = int(lo)
         self.hi = int(hi)
         members.flags.writeable = False
         self._members = members
-        self._mask = _mask_from_members(members, lo, hi)
+        return self
 
     @classmethod
     def from_bool(cls, bits: np.ndarray, lo: int) -> "IntegerSet":
         """Build from a boolean membership array starting at ``lo``."""
-        obj = cls.__new__(cls)
-        obj.lo = int(lo)
-        obj.hi = int(lo) + len(bits) - 1
-        members = np.flatnonzero(bits).astype(np.int64) + lo
-        members.flags.writeable = False
-        obj._members = members
-        obj._mask = int.from_bytes(
-            np.packbits(bits, bitorder="little").tobytes(), "little"
-        )
-        return obj
+        members = np.flatnonzero(bits).astype(np.int64, copy=False)
+        members += lo
+        return cls.__new__(cls)._assign(members, lo, int(lo) + len(bits) - 1)
 
     @classmethod
     def from_members(cls, members: np.ndarray, lo: int, hi: int) -> "IntegerSet":
         """Build from a sorted, unique, in-range int64 array (trusted)."""
-        obj = cls.__new__(cls)
-        obj.lo = int(lo)
-        obj.hi = int(hi)
-        members = np.asarray(members, dtype=np.int64)
-        members.flags.writeable = False
-        obj._members = members
-        obj._mask = _mask_from_members(members, lo, hi)
-        return obj
+        return cls.__new__(cls)._assign(np.asarray(members, dtype=np.int64), lo, hi)
 
     @property
     def count(self) -> int:
         return int(self._members.size)
-
-    @property
-    def mask(self) -> int:
-        return self._mask
 
     def members(self) -> np.ndarray:
         """Sorted member values (read-only view)."""
@@ -87,7 +78,8 @@ class IntegerSet:
         return self.count
 
     def __contains__(self, value: int) -> bool:
-        return self.lo <= value <= self.hi and bool((self._mask >> (value - self.lo)) & 1)
+        i = int(np.searchsorted(self._members, value))
+        return i < self.count and bool(self._members[i] == value)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self._members.tolist())
@@ -95,23 +87,17 @@ class IntegerSet:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegerSet):
             return NotImplemented
-        return (self.lo, self.hi, self._mask) == (other.lo, other.hi, other._mask)
+        return (self.lo, self.hi) == (other.lo, other.hi) and np.array_equal(
+            self._members, other._members
+        )
 
     def __hash__(self) -> int:
-        return hash((self.lo, self.hi, self._mask))
+        return hash((self.lo, self.hi, self._members.tobytes()))
 
     def __repr__(self) -> str:
         head = self._members[:8].tolist()
         tail = "..." if self.count > 8 else ""
         return f"IntegerSet([{self.lo},{self.hi}] n={self.count} {{{', '.join(map(str, head))}{tail}}})"
-
-
-def _mask_from_members(members: np.ndarray, lo: int, hi: int) -> int:
-    width = hi - lo + 1
-    bits = np.zeros(width, dtype=bool)
-    if members.size:
-        bits[members - lo] = True
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def make_set(elements: Iterable[int], lo: int, hi: int) -> IntegerSet:
@@ -223,30 +209,22 @@ class RepHistogram:
 
 
 def sumset(a: IntegerSet) -> IntegerSet:
-    """A + A over [2*lo, 2*hi], by shift-accumulate over the members of A."""
-    acc = 0
-    mask = a.mask
-    lo = a.lo
-    for m in a.members().tolist():
-        acc |= mask << (m - lo)
-    return _set_from_mask(acc, 2 * a.lo, 2 * a.hi)
+    """A + A over [2*lo, 2*hi]."""
+    return _image(a, (1, 1))
 
 
 def diffset(a: IntegerSet) -> IntegerSet:
     """A - A over [lo - hi, hi - lo]; symmetric about 0."""
-    acc = 0
-    mask = a.mask
-    hi = a.hi
-    for m in a.members().tolist():
-        acc |= mask << (hi - m)
-    return _set_from_mask(acc, a.lo - a.hi, a.hi - a.lo)
+    return _image(a, (1, -1))
 
 
 def form_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
     """{u1*a1 + ... + uk*ak : ai in A} over its exact representable interval."""
-    if form.arity == 2:
-        return _binary_image(a, form)
-    return _kary_image(a, form)
+    if form.arity > 2 and a.count**form.arity > PAIR_BUDGET:
+        raise ResourceBudgetError(
+            f"k-ary image needs |A|^k = {a.count}^{form.arity} > {PAIR_BUDGET} operations"
+        )
+    return _image(a, form.coeffs)
 
 
 def _image_interval(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[int, int]:
@@ -255,53 +233,88 @@ def _image_interval(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[int, int]:
     return lo, hi
 
 
-def _binary_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
-    u, v = form.coeffs
-    lo, hi = _image_interval(a, (u, v))
-    width = hi - lo + 1
-    marks = np.zeros(width, dtype=bool)
-    if a.count:
-        left = u * a.members()
-        right = v * a.members()
-        step = max(1, _CHUNK_ENTRIES // a.count)
-        for i in range(0, a.count, step):
-            vals = (left[i : i + step, None] + right[None, :]).ravel()
-            marks[vals - lo] = True
+def _image(a: IntegerSet, coeffs: tuple[int, ...]) -> IntegerSet:
+    # Fold one coefficient in at a time: the image of (c1, ..., cj) is the
+    # support of the pair sums of the image of (c1, ..., c(j-1)) and cj * A.
+    members = a.members()
+    image = coeffs[0] * members
+    for j in range(2, len(coeffs)):
+        lo, hi = _image_interval(a, coeffs[:j])
+        marks = _pair_sums(image, coeffs[j - 1] * members, lo, hi, count=False)
+        image = np.flatnonzero(marks) + lo
+    lo, hi = _image_interval(a, coeffs)
+    marks = _pair_sums(image, coeffs[-1] * members, lo, hi, count=False)
     return IntegerSet.from_bool(marks, lo)
 
 
-def _kary_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
-    if a.count ** form.arity > PAIR_BUDGET:
-        raise ResourceBudgetError(
-            f"k-ary image needs |A|^k = {a.count}^{form.arity} > {PAIR_BUDGET} operations"
-        )
-    lo, hi = _image_interval(a, form.coeffs)
-    if a.count == 0:
-        return IntegerSet.from_bool(np.zeros(hi - lo + 1, dtype=bool), lo)
-    vals = form.coeffs[0] * a.members()
-    for c in form.coeffs[1:]:
-        vals = np.unique((vals[:, None] + c * a.members()[None, :]).ravel())
-    marks = np.zeros(hi - lo + 1, dtype=bool)
-    marks[vals - lo] = True
-    return IntegerSet.from_bool(marks, lo)
+def _pair_sums(left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool) -> np.ndarray:
+    """Pair sums left[i] + right[j] over the values [lo, hi].
+
+    Returns, for each value, the number of pairs summing to it (int64), or
+    whether one does (bool) when ``count`` is false.  ``left`` and ``right``
+    each hold distinct values, and every sum must lie in [lo, hi].
+
+    Direct pairs cost |left|*|right|; a real-FFT convolution of the two
+    indicator vectors costs about nfft*log2(nfft).  The cheaper one by that
+    measure runs, and an FFT result that does not round to exact integers
+    falls back to direct pairs.
+    """
+    nfft = _fft_length(hi - lo + 1)
+    if left.size * right.size > _PAIRS_PER_FFT_STEP * nfft * math.log2(nfft):
+        out = _fft_pair_sums(left, right, lo, hi, count)
+        if out is not None:
+            return out
+    return _direct_pair_sums(left, right, lo, hi, count)
 
 
-def _set_from_mask(mask: int, lo: int, hi: int) -> IntegerSet:
+def _direct_pair_sums(
+    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool
+) -> np.ndarray:
     width = hi - lo + 1
-    raw = np.frombuffer(mask.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[:width].astype(bool)
-    return IntegerSet.from_bool(bits, lo)
-
-
-def _pair_bincount(left: np.ndarray, right: np.ndarray, lo: int, width: int) -> np.ndarray:
-    counts = np.zeros(width, dtype=np.int64)
-    if left.size == 0 or right.size == 0:
-        return counts
+    out = np.zeros(width, dtype=np.int64 if count else bool)
+    if right.size == 0:
+        return out
+    shifted = left - lo
     step = max(1, _CHUNK_ENTRIES // right.size)
     for i in range(0, left.size, step):
-        vals = (left[i : i + step, None] + right[None, :]).ravel()
-        counts += np.bincount(vals - lo, minlength=width)
-    return counts
+        vals = (shifted[i : i + step, None] + right[None, :]).ravel()
+        if count:
+            out += np.bincount(vals, minlength=width)
+        else:
+            out[vals] = True
+    return out
+
+
+def _fft_length(width: int) -> int:
+    """The least 2^k or 3*2^k that is at least ``width``."""
+    n = 1 << (width - 1).bit_length()
+    return 3 * n // 4 if 3 * n // 4 >= width else n
+
+
+def _fft_pair_sums(
+    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool
+) -> np.ndarray | None:
+    """The FFT branch of _pair_sums (left must not be empty); None unless
+    every convolution value lies within 1/4 of an integer, so that rounding
+    it is exact."""
+    width = hi - lo + 1
+    nfft = _fft_length(width)
+    # Index left from its minimum m and right from lo - m: both fit in
+    # [0, width) and the index of each sum is its offset from lo, so the
+    # cyclic convolution of length nfft >= width does not wrap.
+    shift = int(left.min())
+    x = np.zeros(nfft)
+    x[left - shift] = 1.0
+    spectrum = np.fft.rfft(x)
+    x[left - shift] = 0.0
+    x[right - (lo - shift)] = 1.0
+    spectrum *= np.fft.rfft(x)
+    raw = np.fft.irfft(spectrum, nfft, out=x)[:width]
+    exact = np.rint(raw)
+    raw -= exact
+    if np.abs(raw, out=raw).max() >= 0.25:
+        return None
+    return exact.astype(np.int64) if count else exact > 0
 
 
 def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> RepHistogram:
@@ -310,28 +323,23 @@ def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> R
         raise ResourceBudgetError(
             f"histogram needs |A|^2 = {a.count}^2 > {PAIR_BUDGET} pair operations"
         )
-    members = a.members()
-    if kind == "sum":
-        lo, hi = 2 * a.lo, 2 * a.hi
-        ordered = _pair_bincount(members, members, lo, hi - lo + 1)
-        diag = np.zeros(hi - lo + 1, dtype=np.int64)
-        if members.size:
-            diag[2 * members - lo] = 1
-        return RepHistogram("sum", lo, hi, (ordered + diag) // 2)
-    if kind == "diff":
-        lo, hi = a.lo - a.hi, a.hi - a.lo
-        counts = _pair_bincount(members, -members, lo, hi - lo + 1)
-        return RepHistogram("diff", lo, hi, counts)
+    coeffs = {"sum": (1, 1), "diff": (1, -1)}.get(kind)
     if kind == "form":
         if form is None:
             raise ValueError("kind='form' requires a LinearForm")
         if form.arity != 2:
             raise ValueError("histograms are defined for binary forms only")
-        u, v = form.coeffs
-        lo, hi = _image_interval(a, (u, v))
-        counts = _pair_bincount(u * members, v * members, lo, hi - lo + 1)
-        return RepHistogram("form", lo, hi, counts, form=form)
-    raise ValueError(f"unknown histogram kind {kind!r}")
+        coeffs = form.coeffs
+    elif coeffs is None:
+        raise ValueError(f"unknown histogram kind {kind!r}")
+    members = a.members()
+    lo, hi = _image_interval(a, coeffs)
+    counts = _pair_sums(coeffs[0] * members, coeffs[1] * members, lo, hi, count=True)
+    if kind == "sum":
+        # ordered pairs count {a1, a2} twice and (a, a) once
+        counts[2 * members - lo] += 1
+        counts //= 2
+    return RepHistogram(kind, lo, hi, counts, form=form if kind == "form" else None)
 
 
 def _effective_counts(hist: RepHistogram) -> np.ndarray:

@@ -232,6 +232,24 @@ def test_json_structure():
     assert "sumset_size" in doc["summary"]["400"]
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StatisticsSpec(sizes=True, missing=False),
+        StatisticsSpec(sizes=False, missing=True),
+        StatisticsSpec(sizes=False, missing=False, forms=(LinearForm((2, -1)),)),
+        StatisticsSpec(sizes=False, missing=False, max_k=2, y=True),
+        StatisticsSpec(max_k=3, forms=(LinearForm((2, -1)), LinearForm((1, 1, -1))), y=True),
+    ],
+)
+def test_summary_keys_match_record_columns(spec):
+    config = small_config(trials=3, statistics=spec, output="json")
+    records, summary = run_experiment(config)
+    doc = json.loads(results_to_json(records, summary, config, 0.0))
+    keys = ("schema_version", "N", "p", "trial_index")
+    assert list(doc["summary"]["400"]) == [c for c in doc["records"][0] if c not in keys]
+
+
 # --- exhaustive enumeration
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from sumdiff import (
     sumset,
     tuple_statistic,
 )
+from sumdiff import sets
 
 from oracles import (
     diff_rep_counts,
@@ -144,6 +146,29 @@ def test_form_image_kary_budget():
         form_image(a, LinearForm((1, 1, 1)))
 
 
+def test_form_image_kary_memory_bound():
+    # Folding one coefficient at a time never materialises the |A|^3 sums.
+    a = make_set(range(300), 0, 299)
+    tracemalloc.start()
+    try:
+        img = form_image(a, LinearForm((1000, 999, 1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.count == 269101
+    assert peak < 64 * 2**20
+
+
+@given(st.lists(st.integers(-6, 6), max_size=7))
+@settings(max_examples=40, deadline=None)
+def test_kary_image_large_coefficients_match_bruteforce(xs):
+    a = make_set(xs, -6, 6)
+    for coeffs in ((1000, 999, 1), (-977, 5, 1000), (2, -1, 1, -999)):
+        img = form_image(a, LinearForm(coeffs))
+        assert list(img) == form_image_oracle(list(a), coeffs)
+        assert (img.lo, img.hi) == (-6 * sum(map(abs, coeffs)), 6 * sum(map(abs, coeffs)))
+
+
 def test_images_on_shifted_interval():
     a = make_set([2, 3, 5], 2, 5)
     s = sumset(a)
@@ -240,6 +265,49 @@ def test_histograms_match_counters(a):
     hf = rep_histogram(a, "form", LinearForm((3, -2)))
     assert dict(hf.nonzero_items()) == dict(form_rep_counts(elems, 3, -2))
     assert hd.total() == hf.total() == len(elems) ** 2
+
+
+# --- the pair-sum kernel: both branches against the oracles
+
+
+@given(
+    st.lists(st.integers(0, 40), min_size=1, max_size=25),
+    st.integers(-30, 30),
+    st.sampled_from([(1, 1), (1, -1), (2, -1), (3, 2), (-4, 3), (-1, -5), (7, -7)]),
+)
+@settings(max_examples=80, deadline=None)
+def test_pair_sum_branches_match_oracles(xs, offset, coeffs):
+    u, v = coeffs
+    elems = sorted(set(x + offset for x in xs))
+    a = make_set(elems, offset, offset + 40)
+    lo, hi = sets._image_interval(a, coeffs)
+    left, right = u * a.members(), v * a.members()
+    expected_counts = form_rep_counts(elems, u, v)
+    for branch in (sets._direct_pair_sums, sets._fft_pair_sums):
+        counts = branch(left, right, lo, hi, True)
+        assert counts.dtype == np.int64 and counts.size == hi - lo + 1
+        assert {int(i) + lo: int(c) for i, c in enumerate(counts) if c} == expected_counts
+        support = branch(left, right, lo, hi, False)
+        assert support.dtype == bool
+        assert (np.flatnonzero(support) + lo).tolist() == sorted(expected_counts)
+
+
+def test_fft_guard_falls_back_to_pairs(monkeypatch):
+    elems = np.flatnonzero(np.random.default_rng(5).random(2001) < 0.5).tolist()
+    a = make_set(elems, 0, 2000)
+    real_irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: real_irfft(*args, **kw) + 0.3)
+    real_fft_branch = sets._fft_pair_sums
+    attempts = []
+
+    def fft_branch(*args):
+        attempts.append(real_fft_branch(*args))
+        return attempts[-1]
+
+    monkeypatch.setattr(sets, "_fft_pair_sums", fft_branch)
+    assert dict(rep_histogram(a, "diff").nonzero_items()) == dict(diff_rep_counts(elems))
+    assert list(diffset(a)) == diffset_oracle(elems)
+    assert len(attempts) == 2 and all(out is None for out in attempts)
 
 
 # --- tuple statistics and profiles
