@@ -13,10 +13,11 @@ import math
 import os
 import statistics as pystats
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from io import StringIO
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,8 +39,6 @@ from .thresholds import classify_pair
 from .bounds import BoundReport, bound_report
 
 SCHEMA_VERSION = "1"
-# The leading CSV columns that identify a record; the rest are statistics.
-_KEY_COLUMNS = ("schema_version", "N", "p", "trial_index")
 MAX_ENUMERATION_N = 26
 MAX_K = 8
 
@@ -238,7 +237,12 @@ def _worker_count(config: ExperimentConfig, n_tasks: int) -> int:
 
 
 def _trial_task(config: ExperimentConfig, task: tuple[int, int]) -> TrialRecord:
-    return run_trial(config, task[0], task[1])
+    n, trial_index = task
+    try:
+        return run_trial(config, n, trial_index)
+    except Exception as exc:
+        # names the trial for `sumdiff sample`; pool chunks lose which task failed
+        raise RuntimeError(f"seed={config.seed} N={n} trial_index={trial_index}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -279,35 +283,64 @@ def form_column_stem(form: LinearForm) -> str:
     return "form_" + "_".join(str(c) for c in form.coeffs)
 
 
-def _record_statistics(record: TrialRecord, spec: StatisticsSpec) -> dict[str, float]:
-    """The record's statistic columns: every column after _KEY_COLUMNS."""
-    keys = len(_KEY_COLUMNS)
-    return dict(zip(csv_columns(spec)[keys:], _record_cells(record, spec)[keys:]))
+@dataclass(frozen=True)
+class _Column:
+    """One CSV/JSON column: its name, its cell and, if any, its prediction."""
+
+    name: str
+    cell: Callable[[TrialRecord], Any]
+    prediction: Callable[[PredictionBundle], float] | None = None
 
 
-def _prediction_for(name: str, bundle: PredictionBundle | None) -> float | None:
-    if bundle is None:
-        return None
-    table = {
-        "set_size": (bundle.n + 1) * bundle.p,
-        "sumset_size": bundle.S_pred,
-        "diffset_size": bundle.D_pred,
-        "missing_sums": bundle.Sc_pred,
-        "missing_diffs": bundle.Dc_pred,
-    }
-    if name in table:
-        return table[name]
-    for f, (df, dfc) in bundle.forms.items():
-        if name == f"{form_column_stem(f)}_size":
-            return df
-        if name == f"{form_column_stem(f)}_missing":
-            return dfc
-    return None
+# The leading columns that identify a record; the rest are statistics.
+_KEY_COLUMNS = (
+    _Column("schema_version", lambda r: SCHEMA_VERSION),
+    _Column("N", attrgetter("n")),
+    _Column("p", attrgetter("p")),
+    _Column("trial_index", attrgetter("trial_index")),
+)
+
+
+def _statistic_columns(spec: StatisticsSpec) -> list[_Column]:
+    """The statistic columns the spec collects, in output order."""
+    cols = [_Column("set_size", attrgetter("set_size"), lambda b: (b.n + 1) * b.p)]
+    if spec.sizes or spec.missing:
+        cols += [
+            _Column("sumset_size", attrgetter("sumset_size"), attrgetter("S_pred")),
+            _Column("diffset_size", attrgetter("diffset_size"), attrgetter("D_pred")),
+        ]
+    if spec.missing:
+        cols += [
+            _Column("missing_sums", attrgetter("missing_sums"), attrgetter("Sc_pred")),
+            _Column("missing_diffs", attrgetter("missing_diffs"), attrgetter("Dc_pred")),
+        ]
+    for f in spec.forms:
+        # the package predicts binary difference forms only
+        predicted = f.kind == "binary-difference"
+        stem = form_column_stem(f)
+        cols += [
+            _Column(
+                f"{stem}_size",
+                lambda r, f=f: r.form_sizes[f],
+                (lambda b, f=f: b.forms[f][0]) if predicted else None,
+            ),
+            _Column(
+                f"{stem}_missing",
+                lambda r, f=f: r.form_missing[f],
+                (lambda b, f=f: b.forms[f][1]) if predicted else None,
+            ),
+        ]
+    cols += [_Column(f"x{k}", lambda r, i=k - 1: r.x[i]) for k in range(1, spec.max_k + 1)]
+    cols += [_Column(f"xp{k}", lambda r, i=k - 1: r.xp[i]) for k in range(1, spec.max_k + 1)]
+    if spec.y:
+        cols.append(_Column("y", attrgetter("y")))
+    return cols
 
 
 def summarize_records(
     records: Sequence[TrialRecord], config: ExperimentConfig
 ) -> dict[int, dict[str, StatSummary]]:
+    columns = _statistic_columns(config.statistics)
     summaries: dict[int, dict[str, StatSummary]] = {}
     for n in config.n_list:
         rows = [r for r in records if r.n == n]
@@ -317,13 +350,12 @@ def summarize_records(
         if config.family.variant == "power-law":
             diff_forms = tuple(f for f in config.statistics.forms if f.kind == "binary-difference")
             bundle = asymptotic_bundle(n, config.family, diff_forms)
-        per_stat: dict[str, list[float]] = {}
-        for r in rows:
-            for name, value in _record_statistics(r, config.statistics).items():
-                per_stat.setdefault(name, []).append(value)
         summaries[n] = {
-            name: _summarize(vals, _prediction_for(name, bundle))
-            for name, vals in per_stat.items()
+            col.name: _summarize(
+                [col.cell(r) for r in rows],
+                None if bundle is None or col.prediction is None else col.prediction(bundle),
+            )
+            for col in columns
         }
     return summaries
 
@@ -370,68 +402,29 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _columns(spec: StatisticsSpec) -> list[_Column]:
+    return [*_KEY_COLUMNS, *_statistic_columns(spec)]
+
+
 def csv_columns(spec: StatisticsSpec) -> list[str]:
-    cols = [*_KEY_COLUMNS, "set_size"]
-    if spec.sizes or spec.missing:
-        cols += ["sumset_size", "diffset_size"]
-    if spec.missing:
-        cols += ["missing_sums", "missing_diffs"]
-    for f in spec.forms:
-        cols += [f"{form_column_stem(f)}_size", f"{form_column_stem(f)}_missing"]
-    cols += [f"x{k}" for k in range(1, spec.max_k + 1)]
-    cols += [f"xp{k}" for k in range(1, spec.max_k + 1)]
-    if spec.y:
-        cols.append("y")
-    return cols
-
-
-def _record_cells(record: TrialRecord, spec: StatisticsSpec) -> list:
-    cells: list = [SCHEMA_VERSION, record.n, record.p, record.trial_index, record.set_size]
-    if spec.sizes or spec.missing:
-        cells += [record.sumset_size, record.diffset_size]
-    if spec.missing:
-        cells += [record.missing_sums, record.missing_diffs]
-    for f in spec.forms:
-        cells += [record.form_sizes[f], record.form_missing[f]]
-    cells += list(record.x)
-    cells += list(record.xp)
-    if spec.y:
-        cells.append(record.y)
-    return cells
-
-
-def _record_row(record: TrialRecord, spec: StatisticsSpec) -> list[str]:
-    return [_format_value(cell) for cell in _record_cells(record, spec)]
+    return [col.name for col in _columns(spec)]
 
 
 def records_to_csv(records: Sequence[TrialRecord], spec: StatisticsSpec) -> str:
     """RFC-4180 CSV, LF line endings, floats at 17 significant digits."""
+    columns = _columns(spec)
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(csv_columns(spec))
+    writer.writerow(col.name for col in columns)
     for record in records:
-        writer.writerow(_record_row(record, spec))
+        writer.writerow(_format_value(col.cell(record)) for col in columns)
     return buf.getvalue()
 
 
 def _summary_to_jsonable(summaries: dict[int, dict[str, StatSummary]]) -> dict:
-    out: dict[str, dict] = {}
-    for n, stats in summaries.items():
-        out[str(n)] = {
-            name: {
-                "mean": s.mean,
-                "se": s.se,
-                "min": s.min,
-                "max": s.max,
-                "q05": s.q05,
-                "q50": s.q50,
-                "q95": s.q95,
-                "prediction": s.prediction,
-                "relative_error": s.relative_error,
-            }
-            for name, s in stats.items()
-        }
-    return out
+    return {
+        str(n): {name: asdict(s) for name, s in stats.items()} for n, stats in summaries.items()
+    }
 
 
 def results_to_json(
@@ -440,9 +433,8 @@ def results_to_json(
     config: ExperimentConfig,
     wall_time_s: float,
 ) -> str:
-    spec = config.statistics
-    cols = csv_columns(spec)
-    rows = [dict(zip(cols, _record_cells(r, spec))) for r in records]
+    columns = _columns(config.statistics)
+    rows = [{col.name: col.cell(r) for col in columns} for r in records]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "metadata": {

@@ -61,11 +61,6 @@ class PFamily:
     def power_law(cls, c: float, delta: float) -> "PFamily":
         return cls("power-law", c=float(c), delta=float(delta))
 
-    def describe(self) -> str:
-        if self.variant == "explicit":
-            return f"p={self.p:g}"
-        return f"p(N)={self.c:g}*N^-{self.delta:g}"
-
 
 def p_of(family: PFamily, n: int) -> float:
     """Evaluate the family at N = n; the result must land in (0, 1)."""

@@ -63,8 +63,8 @@ class IntegerSet:
 
     @classmethod
     def from_members(cls, members: np.ndarray, lo: int, hi: int) -> "IntegerSet":
-        """Build from a sorted, unique, in-range int64 array (trusted)."""
-        return cls.__new__(cls)._assign(np.asarray(members, dtype=np.int64), lo, hi)
+        """Build from a sorted, unique, in-range array (trusted); copies it as int64."""
+        return cls.__new__(cls)._assign(np.array(members, dtype=np.int64), lo, hi)
 
     @property
     def count(self) -> int:
@@ -387,13 +387,7 @@ def repeated_gap_pairs(hist: RepHistogram) -> int:
     """
     if hist.kind != "diff":
         raise ValueError("gap collisions are defined on difference histograms")
-    start = max(0, 1 - hist.domain_lo)
-    positive = hist.counts[start:]
-    relevant = positive[positive >= 2]
-    total = 0
-    for r, times in zip(*np.unique(relevant, return_counts=True)):
-        total += math.comb(int(r), 2) * int(times)
-    return total
+    return tuple_statistic(hist, 2) // 2
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from sumdiff import (
     PFamily,
     ResourceBudgetError,
     StatisticsSpec,
+    asymptotic_bundle,
     config_from_dict,
     empirical_crossover,
     enumerate_exhaustive,
@@ -126,6 +128,32 @@ def test_summary_no_prediction_for_explicit_family():
     assert summary[400]["sumset_size"].prediction is None
 
 
+def test_summary_predictions_by_column():
+    f2, f3 = LinearForm((2, -1)), LinearForm((1, 1, -1))
+    family = PFamily.power_law(1.0, 0.5)
+    config = small_config(
+        family=family, trials=3, statistics=StatisticsSpec(max_k=2, forms=(f2, f3), y=True)
+    )
+    _, summary = run_experiment(config)
+    bundle = asymptotic_bundle(400, family, (f2,))
+    assert {name: s.prediction for name, s in summary[400].items()} == {
+        "set_size": 401 * bundle.p,
+        "sumset_size": bundle.S_pred,
+        "diffset_size": bundle.D_pred,
+        "missing_sums": bundle.Sc_pred,
+        "missing_diffs": bundle.Dc_pred,
+        "form_2_-1_size": bundle.forms[f2][0],
+        "form_2_-1_missing": bundle.forms[f2][1],
+        "form_1_1_-1_size": None,
+        "form_1_1_-1_missing": None,
+        "x1": None,
+        "x2": None,
+        "xp1": None,
+        "xp2": None,
+        "y": None,
+    }
+
+
 def test_trial_failure_aborts_with_partial_results(monkeypatch):
     import sumdiff.experiments as exp
     from sumdiff import ExperimentAborted
@@ -143,6 +171,26 @@ def test_trial_failure_aborts_with_partial_results(monkeypatch):
     assert "3 of 10" in str(info.value)
     assert len(info.value.completed) == 3
     assert all(rec.trial_index < 3 for rec in info.value.completed)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_trial_failure_names_the_trial(monkeypatch, threads):
+    import sumdiff.experiments as exp
+    from sumdiff import ExperimentAborted
+
+    real = exp.run_trial
+
+    def flaky(config, n, trial_index):
+        if trial_index == 4:
+            raise RuntimeError("synthetic trial failure")
+        return real(config, n, trial_index)
+
+    monkeypatch.setattr(exp, "run_trial", flaky)
+    with pytest.raises(ExperimentAborted) as info:
+        run_experiment(small_config(trials=40, threads=threads))
+    assert "seed=99 N=400 trial_index=4: synthetic trial failure" in str(info.value)
+    # two workers take chunks of 3 tasks, so the failing chunk also loses trial 3
+    assert len(info.value.completed) == {1: 4, 2: 3}[threads]
 
 
 def test_resource_guard_rejects_oversized_configs():
@@ -215,6 +263,18 @@ def test_csv_shape_and_formatting():
     assert first[0] == "1"  # schema version
     assert first[2] == "0.050000000000000003"  # 17 significant digits of 0.05
     assert "\r" not in text
+
+
+def test_csv_golden_digest():
+    # every column kind: sizes, missing, difference/sum/k-ary forms, x_k, xp_k, y
+    forms = (LinearForm((2, -1)), LinearForm((1, 1)), LinearForm((1, 1, -1)))
+    spec = StatisticsSpec(max_k=2, forms=forms, y=True)
+    config = ExperimentConfig(
+        (300, 500), PFamily.power_law(1.0, 0.5), trials=3, seed=11, statistics=spec, threads=1
+    )
+    records, _ = run_experiment(config)
+    digest = hashlib.sha256(records_to_csv(records, spec).encode()).hexdigest()
+    assert digest == "15617d39d4b6c7f19041e85d659128e7906c088403a3655023cc5790a56e9d6f"
 
 
 def test_json_structure():

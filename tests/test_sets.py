@@ -77,6 +77,14 @@ def test_membership_and_equality():
     assert "n=3" in repr(a)
 
 
+def test_from_members_leaves_caller_array_alone():
+    m = np.arange(3, dtype=np.int64)
+    a = IntegerSet.from_members(m, 0, 5)
+    assert m.flags.writeable
+    m[0] = 4
+    assert list(a) == [0, 1, 2]
+
+
 # --- linear forms
 
 
