@@ -2,7 +2,9 @@
 
 
 class ResourceBudgetError(RuntimeError):
-    """An operation would exceed the fixed enumeration budget."""
+    """A call would cost more than its budget: a pair-sum kernel call (any
+    image or histogram) over the pair budget of ``sumdiff.sets``, or
+    exhaustive enumeration above its N cap."""
 
 
 class BracketingError(RuntimeError):

@@ -25,7 +25,6 @@ from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, p_of, sample, sample_uniforms
 from .sets import (
-    PAIR_BUDGET,
     IntegerSet,
     LinearForm,
     diffset,
@@ -56,6 +55,8 @@ class StatisticsSpec:
     def __post_init__(self):
         if not 0 <= self.max_k <= MAX_K:
             raise ValueError(f"max_k must lie in [0, {MAX_K}]")
+        if len(set(self.forms)) < len(self.forms):
+            raise ValueError(f"repeated form in {[str(f) for f in self.forms]}")
 
 
 @dataclass(frozen=True)
@@ -218,19 +219,6 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     )
 
 
-def _estimated_pair_ops(config: ExperimentConfig) -> float:
-    """Upfront |A|^2 histogram cost; sumset, diffset and form images are not budgeted."""
-    spec = config.statistics
-    total = 0.0
-    for n in config.n_list:
-        p = p_of(config.family, n)
-        mean_size = (n + 1) * p
-        high = mean_size + 4.0 * math.sqrt(mean_size) + 8.0
-        hists = 2 if spec.max_k > 0 else (1 if spec.y else 0)
-        total += hists * high * high * config.trials
-    return total
-
-
 def _worker_count(config: ExperimentConfig, n_tasks: int) -> int:
     workers = (os.cpu_count() or 1) if config.threads == "auto" else int(config.threads)
     return max(1, min(workers, n_tasks))
@@ -364,12 +352,6 @@ def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[list[TrialRecord], dict[int, dict[str, StatSummary]]]:
     """All trials over n_list x [0, trials), in deterministic order."""
-    estimated = _estimated_pair_ops(config)
-    if estimated > PAIR_BUDGET:
-        raise ResourceBudgetError(
-            f"configuration needs ~{estimated:.2e} elementary operations "
-            f"(budget {PAIR_BUDGET:.0e}); lower N, trials, or the collected statistics"
-        )
     tasks = [(n, t) for n in config.n_list for t in range(config.trials)]
     workers = _worker_count(config, len(tasks))
     records: list[TrialRecord] = []

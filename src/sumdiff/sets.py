@@ -5,7 +5,8 @@ as its sorted member array.  Every image (sumset, difference set, linear-
 form image) and every representation histogram is the support, or the
 values, of a convolution of dilated indicator vectors of A.  One primitive
 computes it: by direct pair sums for small sets, by a real FFT whose
-rounding is checked to be exact for large ones.
+rounding is checked to be exact for large ones.  It prices each call by
+the branch it runs and refuses a call that costs more than the budget.
 
 All operations are pure: values never mutate after construction.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ResourceBudgetError
 
-# Elementary pair operations allowed per histogram, k-ary image or experiment.
+# Largest cost (see _pair_sums) allowed for one pair-sum kernel call.
 PAIR_BUDGET = 10**10
 
 # Rows are blocked so each outer-product chunk stays ~10^7 entries.
@@ -220,10 +221,6 @@ def diffset(a: IntegerSet) -> IntegerSet:
 
 def form_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
     """{u1*a1 + ... + uk*ak : ai in A} over its exact representable interval."""
-    if form.arity > 2 and a.count**form.arity > PAIR_BUDGET:
-        raise ResourceBudgetError(
-            f"k-ary image needs |A|^k = {a.count}^{form.arity} > {PAIR_BUDGET} operations"
-        )
     return _image(a, form.coeffs)
 
 
@@ -255,16 +252,27 @@ def _pair_sums(left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: boo
     each hold distinct values, and every sum must lie in [lo, hi].
 
     Direct pairs cost |left|*|right|; a real-FFT convolution of the two
-    indicator vectors costs about nfft*log2(nfft).  The cheaper one by that
-    measure runs, and an FFT result that does not round to exact integers
-    falls back to direct pairs.
+    indicator vectors costs _PAIRS_PER_FFT_STEP*nfft*log2(nfft).  The
+    cheaper branch runs, and an FFT result that does not round to exact
+    integers falls back to direct pairs.  This is the package's only cost
+    model: before allocating anything, each branch raises
+    ResourceBudgetError if its cost exceeds the pair budget.
     """
+    pairs = left.size * right.size
     nfft = _fft_length(hi - lo + 1)
-    if left.size * right.size > _PAIRS_PER_FFT_STEP * nfft * math.log2(nfft):
+    fft_cost = _PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)
+    if pairs > fft_cost:
+        _check_budget(fft_cost, f"an FFT of length {nfft}")
         out = _fft_pair_sums(left, right, lo, hi, count)
         if out is not None:
             return out
+    _check_budget(pairs, f"{left.size} x {right.size} direct pairs")
     return _direct_pair_sums(left, right, lo, hi, count)
+
+
+def _check_budget(cost: float, what: str) -> None:
+    if cost > PAIR_BUDGET:
+        raise ResourceBudgetError(f"{what} cost {cost:.2e} > budget {PAIR_BUDGET:.0e}")
 
 
 def _direct_pair_sums(
@@ -319,10 +327,6 @@ def _fft_pair_sums(
 
 def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> RepHistogram:
     """Representation histogram of A under the given operation."""
-    if a.count * a.count > PAIR_BUDGET:
-        raise ResourceBudgetError(
-            f"histogram needs |A|^2 = {a.count}^2 > {PAIR_BUDGET} pair operations"
-        )
     coeffs = {"sum": (1, 1), "diff": (1, -1)}.get(kind)
     if kind == "form":
         if form is None:

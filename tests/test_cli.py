@@ -141,6 +141,33 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert "unknown" in err
 
 
+def test_sweep_rejects_repeated_form(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--n", "300", "--p", "0.05", "--trials", "2",
+        "--stats", "sizes", "--form", "2,-1", "--form", "2,-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "repeated form" in err
+
+
+def test_sweep_dense_histograms_within_budget(capsys):
+    # |A| ~ 5e4: 2.5e9 pairs per histogram, but each FFT costs ~4e6
+    code, out, _ = run_cli(
+        capsys,
+        "sweep", "--n", "100000", "--p", "0.5", "--stats", "xk:3", "--trials", "2", "--threads", "1",
+    )
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0][4:] == ["set_size", "x1", "x2", "x3", "xp1", "xp2", "xp3"]
+    assert len(rows) == 3
+    for row in rows[1:]:
+        size = int(row[4])
+        assert int(row[5]) == size * (size + 1) // 2  # X_1 counts every pair once
+        assert int(row[8]) == size * (size - 1)  # X'_1 counts every nonzero difference
+
+
 def test_crossover_command(capsys):
     code, out, _ = run_cli(
         capsys,

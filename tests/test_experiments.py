@@ -194,14 +194,22 @@ def test_trial_failure_names_the_trial(monkeypatch, threads):
 
 
 def test_resource_guard_rejects_oversized_configs():
+    # each kernel call is priced: the (1000, -999) image of |A| ~ 5e5 over an
+    # interval ~2e9 wide costs > 5e10 and fails the first trial
+    from sumdiff import ExperimentAborted
+
     config = small_config(
         n_list=(10**6,),
         family=PFamily.explicit(0.5),
-        trials=10**4,
-        statistics=StatisticsSpec(max_k=3),
+        trials=1,
+        statistics=StatisticsSpec(sizes=False, missing=False, forms=(LinearForm((1000, -999)),)),
     )
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ExperimentAborted) as info:
         run_experiment(config)
+    message = str(info.value)
+    assert "seed=99 N=1000000 trial_index=0:" in message
+    assert "> budget 1e+10" in message
+    assert info.value.completed == ()
 
 
 # --- config files
@@ -225,6 +233,17 @@ def test_config_round_trip(tmp_path):
     assert config.statistics.max_k == 2
     assert config.statistics.forms == (LinearForm((2, -1)),)
     assert config.threads == 2
+
+
+def test_config_rejects_repeated_form():
+    doc = {
+        "n_list": [300],
+        "family": {"variant": "explicit", "p": 0.05},
+        "trials": 2,
+        "statistics": {"forms": [[2, -1], [3, 1], [2, -1]]},
+    }
+    with pytest.raises(ValueError, match="repeated form"):
+        config_from_dict(doc)
 
 
 def test_config_rejects_unknown_fields():

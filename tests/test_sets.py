@@ -148,10 +148,33 @@ def test_form_image_ternary():
     assert list(img) == [0, 1, 2, 3]
 
 
+# 200000 members spread over [0, 10^6]: under (1000, -999) the image interval
+# is ~2e9 wide, so direct pairs (4.0e10) and the FFT (5.3e10) both exceed the
+# 1e10 budget, and the kernel must refuse before allocating either.
+over_budget_set = IntegerSet.from_members(np.arange(0, 10**6, 5), 0, 10**6)
+
+
+def refuses_within_16_mib(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_form_image_kary_budget():
-    a = make_set(range(2200), 0, 2200)  # 2200^3 > 10^10
-    with pytest.raises(ResourceBudgetError):
-        form_image(a, LinearForm((1, 1, 1)))
+    for coeffs in ((1000, -999), (1000, 999, 1)):
+        refuses_within_16_mib(lambda: form_image(over_budget_set, LinearForm(coeffs)))
+
+
+def test_formerly_rejected_kary_image_is_exact():
+    # 2200^3 pairs, but the FFT folds cost ~5e6 each
+    img = form_image(make_set(range(2200), 0, 2200), LinearForm((1, 1, 1)))
+    assert img.count == 6598
+    assert img.members().tolist() == list(range(6598))
 
 
 def test_form_image_kary_memory_bound():
@@ -257,9 +280,14 @@ def test_form_histogram_requires_binary_form():
 
 
 def test_histogram_budget():
-    a = make_set(range(200_001), 0, 200_001)
-    with pytest.raises(ResourceBudgetError):
-        rep_histogram(a, "diff")
+    form = LinearForm((1000, -999))
+    refuses_within_16_mib(lambda: rep_histogram(over_budget_set, "form", form))
+
+
+def test_formerly_rejected_histogram_is_exact():
+    # 200001^2 = 4e10 pairs, but the FFT costs ~8e6
+    h = rep_histogram(make_set(range(200_001), 0, 200_001), "diff")
+    assert [h.count(d) for d in (0, 5, -5, 200_000)] == [200_001 - d for d in (0, 5, 5, 200_000)]
 
 
 @given(small_sets)
@@ -316,6 +344,14 @@ def test_fft_guard_falls_back_to_pairs(monkeypatch):
     assert dict(rep_histogram(a, "diff").nonzero_items()) == dict(diff_rep_counts(elems))
     assert list(diffset(a)) == diffset_oracle(elems)
     assert len(attempts) == 2 and all(out is None for out in attempts)
+
+
+def test_fft_fallback_is_priced(monkeypatch):
+    # a failed exactness check must not start 4e10 direct pairs
+    real_irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: real_irfft(*args, **kw) + 0.3)
+    with pytest.raises(ResourceBudgetError, match="direct pairs"):
+        rep_histogram(make_set(range(200_001), 0, 200_001), "diff")
 
 
 # --- tuple statistics and profiles
