@@ -112,6 +112,7 @@ def build_parser() -> _Parser:
     cr.add_argument("--c-grid", required=True, help="comma-separated c values")
     cr.add_argument("--trials", type=int, default=100)
     cr.add_argument("--seed", type=int, default=0)
+    cr.add_argument("--threads", default="auto")
 
     vb = sub.add_parser("verify-bounds",
                         help="empirical failure rates vs the explicit bounds")
@@ -194,13 +195,16 @@ def _parse_stats(text: str, forms: list[LinearForm]) -> StatisticsSpec:
     return StatisticsSpec(sizes=sizes, missing=missing, max_k=max_k, forms=tuple(forms), y=y)
 
 
+def _threads_from(args) -> int | str:
+    return args.threads if args.threads == "auto" else int(args.threads)
+
+
 def _cmd_sweep(args) -> int:
     if args.config:
         config = load_config(args.config)
     else:
         if not args.n:
             raise ValueError("sweep needs --config or at least one --n")
-        threads = args.threads if args.threads == "auto" else int(args.threads)
         config = ExperimentConfig(
             n_list=tuple(args.n),
             family=_family_from(args),
@@ -208,7 +212,7 @@ def _cmd_sweep(args) -> int:
             seed=args.seed,
             statistics=_parse_stats(args.stats, args.form),
             output=args.out,
-            threads=threads,
+            threads=_threads_from(args),
         )
     start = time.perf_counter()
     records, summaries = run_experiment(config)
@@ -230,7 +234,10 @@ def _cmd_crossover(args) -> int:
     if len(args.form) != 2:
         raise ValueError("crossover needs exactly two --form arguments")
     grid = [float(tok) for tok in args.c_grid.split(",")]
-    result = empirical_crossover(args.form[0], args.form[1], args.n, grid, args.trials, args.seed)
+    result = empirical_crossover(
+        args.form[0], args.form[1], args.n, grid, args.trials, args.seed,
+        threads=_threads_from(args),
+    )
     for c, freq in zip(result.c_grid, result.frequencies):
         print(f"c={c:.6g} freq={freq:.4f}")
     if result.crossover is None:

@@ -3,7 +3,7 @@
 
 class ResourceBudgetError(RuntimeError):
     """A call would cost more than its budget: a pair-sum kernel call (any
-    image or histogram) over the pair budget of ``sumdiff.sets``, or
+    image or histogram) over the pair or memory budget of ``sumdiff.sets``, or
     exhaustive enumeration above its N cap."""
 
 

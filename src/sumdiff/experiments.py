@@ -27,13 +27,14 @@ from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, p_of, sample, sample
 from .sets import (
     IntegerSet,
     LinearForm,
-    diffset,
-    form_image,
+    _grow_image,
+    _image,
+    _image_size,
     rep_histogram,
     repeated_gap_pairs,
-    sumset,
     tuple_statistic,
 )
+from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .thresholds import classify_pair
 from .bounds import BoundReport, bound_report
 
@@ -78,8 +79,12 @@ class ExperimentConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if self.output not in ("csv", "json"):
             raise ValueError("output must be 'csv' or 'json'")
-        if self.threads != "auto" and (not isinstance(self.threads, int) or self.threads < 1):
-            raise ValueError("threads must be a positive integer or 'auto'")
+        _check_threads(self.threads)
+
+
+def _check_threads(threads: int | str) -> None:
+    if threads != "auto" and (not isinstance(threads, int) or threads < 1):
+        raise ValueError("threads must be a positive integer or 'auto'")
 
 
 def _reject_unknown(mapping: dict, allowed: Iterable[str], where: str) -> None:
@@ -169,8 +174,8 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
 
     sum_size = diff_size = miss_s = miss_d = None
     if spec.sizes or spec.missing:
-        sum_size = sumset(a).count
-        diff_size = diffset(a).count
+        sum_size = _image_size(a, (1, 1))
+        diff_size = _image_size(a, (1, -1))
     if spec.missing:
         miss_s = total - sum_size
         miss_d = total - diff_size
@@ -178,7 +183,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     form_sizes: dict[LinearForm, int] = {}
     form_missing: dict[LinearForm, int] = {}
     for f in spec.forms:
-        size = form_image(a, f).count
+        size = _image_size(a, f.coeffs)
         form_sizes[f] = size
         form_missing[f] = f.weight * n - size
 
@@ -219,9 +224,32 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     )
 
 
-def _worker_count(config: ExperimentConfig, n_tasks: int) -> int:
-    workers = (os.cpu_count() or 1) if config.threads == "auto" else int(config.threads)
-    return max(1, min(workers, n_tasks))
+def _run_tasks(task: Callable[[Any], Any], tasks: Sequence[Any], threads: int | str) -> list:
+    """``task`` over ``tasks`` in order, on up to ``threads`` worker processes
+    ("auto": one per core).  The results are in task order whatever the
+    worker count; a failing task raises ExperimentAborted carrying the
+    results completed before it."""
+    workers = (os.cpu_count() or 1) if threads == "auto" else int(threads)
+    workers = max(1, min(workers, len(tasks)))
+    results: list = []
+    try:
+        if workers == 1:
+            results.extend(map(task, tasks))
+        else:
+            chunk = max(1, math.ceil(len(tasks) / (workers * 8)))
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results.extend(pool.map(task, tasks, chunksize=chunk))
+    except Exception as exc:
+        raise ExperimentAborted(
+            f"trial failed after {len(results)} of {len(tasks)} records: {exc}",
+            tuple(results),
+        ) from exc
+    return results
+
+
+def _name_failure(seed: int, n: int, trial_index: int, exc: Exception) -> RuntimeError:
+    # pool chunks lose which task failed, so the message names the trial
+    return RuntimeError(f"seed={seed} N={n} trial_index={trial_index}: {exc}")
 
 
 def _trial_task(config: ExperimentConfig, task: tuple[int, int]) -> TrialRecord:
@@ -229,8 +257,7 @@ def _trial_task(config: ExperimentConfig, task: tuple[int, int]) -> TrialRecord:
     try:
         return run_trial(config, n, trial_index)
     except Exception as exc:
-        # names the trial for `sumdiff sample`; pool chunks lose which task failed
-        raise RuntimeError(f"seed={config.seed} N={n} trial_index={trial_index}: {exc}") from exc
+        raise _name_failure(config.seed, n, trial_index, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -353,22 +380,7 @@ def run_experiment(
 ) -> tuple[list[TrialRecord], dict[int, dict[str, StatSummary]]]:
     """All trials over n_list x [0, trials), in deterministic order."""
     tasks = [(n, t) for n in config.n_list for t in range(config.trials)]
-    workers = _worker_count(config, len(tasks))
-    records: list[TrialRecord] = []
-    try:
-        if workers == 1:
-            for task in tasks:
-                records.append(_trial_task(config, task))
-        else:
-            chunk = max(1, math.ceil(len(tasks) / (workers * 8)))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for record in pool.map(partial(_trial_task, config), tasks, chunksize=chunk):
-                    records.append(record)
-    except Exception as exc:
-        raise ExperimentAborted(
-            f"trial failed after {len(records)} of {len(tasks)} records: {exc}",
-            tuple(records),
-        ) from exc
+    records = _run_tasks(partial(_trial_task, config), tasks, config.threads)
     return records, summarize_records(records, config)
 
 
@@ -485,13 +497,16 @@ def empirical_crossover(
     c_grid: Sequence[float],
     trials: int,
     seed: int,
+    threads: int | str = "auto",
 ) -> CrossoverResult:
     """Domination frequency P(|f(A)| > |g(A)|) at p = c * N**-0.5 per grid c.
 
     Trials share the underlying uniforms across grid points (the sampler
     couples sets monotonically in p), so the frequency curve moves as a
     whole and its 1/2-crossing is stable.  The crossover estimate is the
-    median of the piecewise-linear interpolant's crossings of 1/2.
+    median of the piecewise-linear interpolant's crossings of 1/2.  Trials
+    run on up to ``threads`` worker processes; the result does not depend
+    on their number.
     """
     report = classify_pair(f, g)
     if report.case != "case-ii":
@@ -504,16 +519,48 @@ def empirical_crossover(
     sqrt_n = math.sqrt(n)
     if grid[0] <= 0 or grid[-1] >= sqrt_n:
         raise ValueError("grid must satisfy 0 < c < sqrt(N) so that p lands in (0, 1)")
-    wins = [0] * len(grid)
-    for t in range(trials):
-        uniforms = sample_uniforms(n, SamplerSeed(seed, t))
-        for j, c in enumerate(grid):
-            members = np.flatnonzero(uniforms < c / sqrt_n).astype(np.int64)
-            a = IntegerSet.from_members(members, 0, n)
-            if form_image(a, f).count > form_image(a, g).count:
-                wins[j] += 1
-    freqs = [w / trials for w in wins]
+    _check_threads(threads)
+    task = partial(_crossover_task, (f, g), n, tuple(c / sqrt_n for c in grid), seed)
+    wins = np.sum(_run_tasks(task, range(trials), threads), axis=0)
+    freqs = [int(w) / trials for w in wins]
     return CrossoverResult(tuple(grid), tuple(freqs), _interpolate_half(grid, freqs), trials)
+
+
+def _crossover_task(
+    forms: tuple[LinearForm, LinearForm], n: int, ps: tuple[float, ...], seed: int, trial_index: int
+) -> list[bool]:
+    try:
+        return _crossover_trial(forms, n, ps, seed, trial_index)
+    except Exception as exc:
+        raise _name_failure(seed, n, trial_index, exc) from exc
+
+
+def _crossover_trial(
+    forms: tuple[LinearForm, LinearForm], n: int, ps: tuple[float, ...], seed: int, trial_index: int
+) -> list[bool]:
+    """Whether |f(A)| > |g(A)| for the set A sampled at each p of one trial.
+
+    The sets grow with p, so each form's image marks grow with them: at
+    each p only the pairs with a newly sampled element are added.
+    """
+    uniforms = sample_uniforms(n, SamplerSeed(seed, trial_index))
+    members = np.flatnonzero(uniforms < ps[-1])
+    # in the order of their uniforms, so that the set at each p is a prefix
+    members = members[np.argsort(uniforms[members])]
+    ends = np.searchsorted(uniforms[members], ps)
+    # start from the images of the empty subset of [0, n]
+    empty = IntegerSet([], 0, n)
+    images = [(*_image(empty, form.coeffs), form.coeffs) for form in forms]
+    wins = []
+    start = 0
+    for end in ends:
+        sizes = []
+        for marks, lo, coeffs in images:
+            _grow_image(marks, lo, coeffs, members[:start], members[start:end])
+            sizes.append(np.count_nonzero(marks))
+        wins.append(sizes[0] > sizes[1])
+        start = end
+    return wins
 
 
 def _interpolate_half(grid: Sequence[float], freqs: Sequence[float]) -> float | None:

@@ -6,7 +6,9 @@ form image) and every representation histogram is the support, or the
 values, of a convolution of dilated indicator vectors of A.  One primitive
 computes it: by direct pair sums for small sets, by a real FFT whose
 rounding is checked to be exact for large ones.  It prices each call by
-the branch it runs and refuses a call that costs more than the budget.
+the branch it runs, in time and in memory, and refuses a call that exceeds
+either budget.  Callers that need only an image's size count its marks
+without building the member array.
 
 All operations are pure: values never mutate after construction.
 """
@@ -24,6 +26,15 @@ from .errors import ResourceBudgetError
 
 # Largest cost (see _pair_sums) allowed for one pair-sum kernel call.
 PAIR_BUDGET = 10**10
+
+# Largest memory (see _pair_sums) allowed for one pair-sum kernel call, in
+# bytes: a quarter of an 8 GB host.
+PAIR_MEMORY_BUDGET = 2**31
+
+# Peak FFT workspace per slot of nfft, on top of the result: the float64
+# indicator buffer and the two half-length complex spectra (measured with
+# tracemalloc; see CHANGES.md).
+_FFT_BYTES_PER_SLOT = 24
 
 # Rows are blocked so each outer-product chunk stays ~10^7 entries.
 _CHUNK_ENTRIES = 10**7
@@ -211,17 +222,22 @@ class RepHistogram:
 
 def sumset(a: IntegerSet) -> IntegerSet:
     """A + A over [2*lo, 2*hi]."""
-    return _image(a, (1, 1))
+    return IntegerSet.from_bool(*_image(a, (1, 1)))
 
 
 def diffset(a: IntegerSet) -> IntegerSet:
     """A - A over [lo - hi, hi - lo]; symmetric about 0."""
-    return _image(a, (1, -1))
+    return IntegerSet.from_bool(*_image(a, (1, -1)))
 
 
 def form_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
     """{u1*a1 + ... + uk*ak : ai in A} over its exact representable interval."""
-    return _image(a, form.coeffs)
+    return IntegerSet.from_bool(*_image(a, form.coeffs))
+
+
+def _image_size(a: IntegerSet, coeffs: tuple[int, ...]) -> int:
+    """The size of the image of A under ``coeffs``, without building its members."""
+    return int(np.count_nonzero(_image(a, coeffs)[0]))
 
 
 def _image_interval(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[int, int]:
@@ -230,7 +246,8 @@ def _image_interval(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[int, int]:
     return lo, hi
 
 
-def _image(a: IntegerSet, coeffs: tuple[int, ...]) -> IntegerSet:
+def _image(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """The image's marks over its interval, and the interval's lo."""
     # Fold one coefficient in at a time: the image of (c1, ..., cj) is the
     # support of the pair sums of the image of (c1, ..., c(j-1)) and cj * A.
     members = a.members()
@@ -240,46 +257,76 @@ def _image(a: IntegerSet, coeffs: tuple[int, ...]) -> IntegerSet:
         marks = _pair_sums(image, coeffs[j - 1] * members, lo, hi, count=False)
         image = np.flatnonzero(marks) + lo
     lo, hi = _image_interval(a, coeffs)
-    marks = _pair_sums(image, coeffs[-1] * members, lo, hi, count=False)
-    return IntegerSet.from_bool(marks, lo)
+    return _pair_sums(image, coeffs[-1] * members, lo, hi, count=False), lo
 
 
-def _pair_sums(left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool) -> np.ndarray:
+def _grow_image(
+    marks: np.ndarray, lo: int, coeffs: tuple[int, int], old: np.ndarray, new: np.ndarray
+) -> None:
+    """Turn ``marks``, the binary image of ``old`` over [lo, lo + marks.size),
+    into the image of old + new in place (``new`` disjoint from ``old``).
+
+    Only the pairs with a new element are summed: u*new with v*(old + new),
+    and u*old with v*new.
+    """
+    u, v = coeffs
+    hi = lo + marks.size - 1
+    _pair_sums(u * new, v * np.concatenate((old, new)), lo, hi, count=False, out=marks)
+    _pair_sums(u * old, v * new, lo, hi, count=False, out=marks)
+
+
+def _pair_sums(
+    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Pair sums left[i] + right[j] over the values [lo, hi].
 
     Returns, for each value, the number of pairs summing to it (int64), or
     whether one does (bool) when ``count`` is false.  ``left`` and ``right``
-    each hold distinct values, and every sum must lie in [lo, hi].
+    each hold distinct values, and every sum must lie in [lo, hi].  Given
+    ``out`` (of that width and dtype), the result is added into it and
+    ``out`` is returned: counts accumulate, marks are OR-ed in.
 
     Direct pairs cost |left|*|right|; a real-FFT convolution of the two
     indicator vectors costs _PAIRS_PER_FFT_STEP*nfft*log2(nfft).  The
     cheaper branch runs, and an FFT result that does not round to exact
     integers falls back to direct pairs.  This is the package's only cost
     model: before allocating anything, each branch raises
-    ResourceBudgetError if its cost exceeds the pair budget.
+    ResourceBudgetError if its cost exceeds the pair budget or its memory
+    (the result, plus the FFT's workspace) exceeds the memory budget.
     """
+    width = hi - lo + 1
+    result_bytes = width * (8 if count else 1)
     pairs = left.size * right.size
-    nfft = _fft_length(hi - lo + 1)
+    nfft = _fft_length(width)
     fft_cost = _PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)
     if pairs > fft_cost:
-        _check_budget(fft_cost, f"an FFT of length {nfft}")
-        out = _fft_pair_sums(left, right, lo, hi, count)
-        if out is not None:
-            return out
-    _check_budget(pairs, f"{left.size} x {right.size} direct pairs")
-    return _direct_pair_sums(left, right, lo, hi, count)
+        fft_bytes = result_bytes + _FFT_BYTES_PER_SLOT * nfft
+        _check_budget(fft_cost, fft_bytes, f"an FFT of length {nfft}")
+        found = _fft_pair_sums(left, right, lo, hi, count, out)
+        if found is not None:
+            return found
+    _check_budget(pairs, result_bytes, f"{left.size} x {right.size} direct pairs")
+    return _direct_pair_sums(left, right, lo, hi, count, out)
 
 
-def _check_budget(cost: float, what: str) -> None:
+def _check_budget(cost: float, nbytes: int, what: str) -> None:
     if cost > PAIR_BUDGET:
         raise ResourceBudgetError(f"{what} cost {cost:.2e} > budget {PAIR_BUDGET:.0e}")
+    if nbytes > PAIR_MEMORY_BUDGET:
+        raise ResourceBudgetError(
+            f"{what} needs {nbytes / 2**20:.0f} MiB > memory budget "
+            f"{PAIR_MEMORY_BUDGET / 2**20:.0f} MiB"
+        )
 
 
 def _direct_pair_sums(
-    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool
+    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     width = hi - lo + 1
-    out = np.zeros(width, dtype=np.int64 if count else bool)
+    if out is None:
+        out = np.zeros(width, dtype=np.int64 if count else bool)
     if right.size == 0:
         return out
     shifted = left - lo
@@ -300,7 +347,8 @@ def _fft_length(width: int) -> int:
 
 
 def _fft_pair_sums(
-    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool
+    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
+    out: np.ndarray | None = None,
 ) -> np.ndarray | None:
     """The FFT branch of _pair_sums (left must not be empty); None unless
     every convolution value lies within 1/4 of an integer, so that rounding
@@ -322,7 +370,11 @@ def _fft_pair_sums(
     raw -= exact
     if np.abs(raw, out=raw).max() >= 0.25:
         return None
-    return exact.astype(np.int64) if count else exact > 0
+    found = exact.astype(np.int64) if count else exact > 0
+    if out is None:
+        return found
+    out += found  # on bool arrays, + is OR
+    return out
 
 
 def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> RepHistogram:
@@ -408,8 +460,8 @@ def classify(a: IntegerSet) -> Classification:
     if a.lo != 0:
         raise ValueError("classification is defined for sets over [0, N]")
     n = a.hi
-    s = sumset(a).count
-    d = diffset(a).count
+    s = _image_size(a, (1, 1))
+    d = _image_size(a, (1, -1))
     if s > d:
         label = "sum-dominated"
     elif s == d:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
@@ -169,13 +170,34 @@ def test_sweep_dense_histograms_within_budget(capsys):
 
 
 def test_crossover_command(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "crossover", "--form", "4,-3", "--form", "5,-1",
-        "--n", "10000", "--c-grid", "0.05,0.1", "--trials", "20", "--seed", "2",
-    )
+    argv = ("crossover", "--form", "4,-3", "--form", "5,-1",
+            "--n", "10000", "--c-grid", "0.05,0.1", "--trials", "20", "--seed", "2")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert "crossover=inconclusive" in out
+    for threads in ("1", "2", "auto"):
+        assert run_cli(capsys, *argv, "--threads", threads) == (0, out, "")
+    for threads in ("0", "two"):
+        code, _, err = run_cli(capsys, *argv, "--threads", threads)
+        assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_crossover_golden_digest(capsys, threads):
+    # a grid that crosses 1/2, three seeds; digest recorded before the
+    # crossover grew its images incrementally and ran on the trial pool
+    out = ""
+    for seed in ("1", "2", "3"):
+        code, text, _ = run_cli(
+            capsys,
+            "crossover", "--form", "4,-3", "--form", "5,-1", "--n", "10000",
+            "--c-grid", "0.1,0.3,0.6,1,2,5", "--trials", "30", "--seed", seed,
+            "--threads", threads,
+        )
+        assert code == 0
+        out += text
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "781902fbc8192f6bd835669b782e13fcdfb0b49855d4c51a8fa06c9e4a09799d"
 
 
 def test_verify_bounds_ok(capsys):

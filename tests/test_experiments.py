@@ -1,18 +1,23 @@
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 from sumdiff import (
     ExperimentConfig,
+    IntegerSet,
     LinearForm,
     PFamily,
     ResourceBudgetError,
+    SamplerSeed,
     StatisticsSpec,
     asymptotic_bundle,
     config_from_dict,
     empirical_crossover,
     enumerate_exhaustive,
+    form_image,
     load_config,
     records_to_csv,
     results_to_json,
@@ -21,6 +26,7 @@ from sumdiff import (
     solve_threshold,
     verify_bounds,
 )
+from sumdiff.sampling import sample_uniforms
 
 
 def small_config(**overrides):
@@ -398,6 +404,48 @@ def test_crossover_spans_threshold_at_moderate_n():
     assert result.frequencies[0] < 0.5 < result.frequencies[-1]
     assert result.crossover is not None
     assert result.c_grid[0] < result.crossover < result.c_grid[-1]
+
+
+CROSSOVER_FORMS = (LinearForm((4, -3)), LinearForm((5, -1)))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_crossover_failure_names_the_trial(monkeypatch, threads):
+    import sumdiff.experiments as exp
+    from sumdiff import ExperimentAborted
+
+    real = exp._crossover_trial
+
+    def flaky(forms, n, ps, seed, trial_index):
+        if trial_index == 4:
+            raise RuntimeError("synthetic crossover failure")
+        return real(forms, n, ps, seed, trial_index)
+
+    monkeypatch.setattr(exp, "_crossover_trial", flaky)
+    with pytest.raises(ExperimentAborted) as info:
+        empirical_crossover(*CROSSOVER_FORMS, 2000, [0.5, 2.0], 10, seed=7, threads=threads)
+    assert "seed=7 N=2000 trial_index=4: synthetic crossover failure" in str(info.value)
+
+
+def test_crossover_matches_fresh_images():
+    # every grid point's sets and images built from scratch, as a brute-force check
+    n, grid, trials, seed = 3000, [0.3, 1.0, 3.0, 8.0], 6, 5
+    wins = [0] * len(grid)
+    for t in range(trials):
+        uniforms = sample_uniforms(n, SamplerSeed(seed, t))
+        for j, c in enumerate(grid):
+            a = IntegerSet.from_members(np.flatnonzero(uniforms < c / math.sqrt(n)), 0, n)
+            f, g = (form_image(a, form).count for form in CROSSOVER_FORMS)
+            wins[j] += f > g
+    for threads in (1, 2):
+        result = empirical_crossover(*CROSSOVER_FORMS, n, grid, trials, seed, threads=threads)
+        assert result.frequencies == tuple(w / trials for w in wins)
+
+
+def test_crossover_rejects_bad_threads():
+    for threads in (0, "two"):
+        with pytest.raises(ValueError, match="threads"):
+            empirical_crossover(*CROSSOVER_FORMS, 2000, [0.5, 2.0], 4, 0, threads=threads)
 
 
 # --- bound verification

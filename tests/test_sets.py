@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -352,6 +353,46 @@ def test_fft_fallback_is_priced(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: real_irfft(*args, **kw) + 0.3)
     with pytest.raises(ResourceBudgetError, match="direct pairs"):
         rep_histogram(make_set(range(200_001), 0, 200_001), "diff")
+
+
+def test_memory_budget_refuses_before_allocating(monkeypatch):
+    monkeypatch.setattr(sets, "PAIR_MEMORY_BUDGET", 2**20)
+    dense = make_set(range(200_001), 0, 200_001)
+    # the FFT branch: an 8-byte count per value plus 24 bytes per FFT slot
+    with pytest.raises(ResourceBudgetError, match="FFT of length 524288 needs 15 MiB"):
+        rep_histogram(dense, "diff")
+    # the direct branch: one mark per value of a 2e6-wide interval
+    with pytest.raises(ResourceBudgetError, match="2 x 2 direct pairs needs 2 MiB"):
+        sumset(make_set([0, 10**6], 0, 10**6))
+    assert sumset(make_set([0, 10**5], 0, 10**5)).members().tolist() == [0, 10**5, 2 * 10**5]
+
+
+def test_memory_budget_refuses_largest_priced_fft():
+    # the widest FFT within the pair budget (nfft = 3*2^27, cost 9.2e9)
+    # would need ~12.9 GB; it is refused without allocating
+    a = IntegerSet.from_members(np.arange(0, 2 * 10**8, 2000), 0, 2 * 10**8)
+    refuses_within_16_mib(lambda: rep_histogram(a, "diff"))
+    refuses_within_16_mib(lambda: sumset(make_set([0, 3 * 10**9], 0, 3 * 10**9)))
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 60), st.integers(0, 3)), max_size=40, unique_by=lambda t: t[0]),
+    st.sampled_from([(1, -1), (2, -1), (3, -2), (5, -1), (4, -3), (1, 1), (3, 1)]),
+    st.sampled_from([1e-9, 1e9]),
+)
+@settings(max_examples=80, deadline=None)
+def test_grown_image_matches_fresh_image(staged, coeffs, pairs_per_fft_step):
+    # Element x joins the nested sets A_0 <= A_1 <= A_2 <= A_3 at its stage;
+    # 1e-9 forces the FFT branch, 1e9 direct pairs.
+    with mock.patch.object(sets, "_PAIRS_PER_FFT_STEP", pairs_per_fft_step):
+        marks, lo = sets._image(make_set([], 0, 60), coeffs)
+        for stage in range(4):
+            old = np.array([x for x, s in staged if s < stage], dtype=np.int64)
+            new = np.array([x for x, s in staged if s == stage], dtype=np.int64)
+            sets._grow_image(marks, lo, coeffs, old, new)
+            fresh = form_image(make_set(np.concatenate((old, new)), 0, 60), LinearForm(coeffs))
+            assert np.count_nonzero(marks) == fresh.count
+            assert (np.flatnonzero(marks) + lo).tolist() == fresh.members().tolist()
 
 
 # --- tuple statistics and profiles
