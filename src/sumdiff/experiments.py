@@ -448,34 +448,65 @@ def results_to_json(
 
 
 def enumerate_exhaustive(n: int) -> dict[str, int]:
-    """Classify every subset of [0, n]; the empty set and singletons are balanced."""
+    """Classify every subset of [0, n]; the empty set and singletons are balanced.
+
+    Every other subset is a translate of exactly one set with min 0 and max
+    m, 1 <= m <= n, with the same |A+A| and |A-A|, and that set has
+    n - m + 1 translates inside [0, n]; so only the 2^(m-1) sets of each
+    span m are classified, each weighted by its translates.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > MAX_ENUMERATION_N:
         raise ResourceBudgetError(f"exhaustive enumeration capped at N = {MAX_ENUMERATION_N}")
-    counts = {"sum_dominated": 0, "balanced": 0, "difference_dominated": 0}
-    for mask in range(1 << (n + 1)):
-        if mask.bit_count() <= 1:
-            counts["balanced"] += 1
-            continue
-        rest = mask
-        s = 0
-        d = 0
-        while rest:
-            low = rest & (-rest)
-            i = low.bit_length() - 1
-            s |= mask << i
-            d |= mask << (n - i)
-            rest ^= low
-        ssize = s.bit_count()
-        dsize = d.bit_count()
-        if ssize > dsize:
-            counts["sum_dominated"] += 1
-        elif ssize == dsize:
-            counts["balanced"] += 1
-        else:
-            counts["difference_dominated"] += 1
+    counts = {"sum_dominated": 0, "balanced": n + 2, "difference_dominated": 0}
+    for m in range(1, n + 1):
+        for label, count in zip(counts, _classify_span(m)):
+            counts[label] += (n - m + 1) * count
     return counts
+
+
+# The low parts of one batch in _classify_span: 2^13 masks, 64 KiB per array.
+_LOW_BITS = 14
+
+
+def _classify_span(m: int) -> tuple[int, int, int]:
+    """How many sets A with min 0 and max m are sum-dominated, balanced and
+    difference-dominated.
+
+    A is a uint64 mask, split into a low part L = A & [0, b), which runs over
+    a batch, and a high part H = A & [b, m], fixed within it.  A+A is
+    (L+L) | (A+H), a mask with bit x for the sum x.  A-A is symmetric about
+    0, so |A-A| = 2 |D| - 1 for its non-positive part D, which is
+    (L-L)- | (A-H)-, a mask with bit x + m for the difference x.  L+L and
+    (L-L)- are built once per span by OR-accumulation over the members of
+    L; then each member h of H adds A shifted by h to the sums and by m - h
+    to D.
+    """
+    b = min(m, _LOW_BITS)
+    lows = np.arange(1, 1 << b, 2, dtype=np.uint64)  # every L, which contains 0
+    low_sums = np.zeros_like(lows)
+    low_diffs = np.zeros_like(lows)
+    for i in range(b):
+        member = (lows >> i) & 1
+        low_sums |= (lows << i) * member
+        low_diffs |= (lows << (m - i)) * member
+    nonpositive = (2 << m) - 1  # the bits x + m of the differences x <= 0
+    sum_dominated = balanced = 0
+    for rest in range(1 << (m - b)):
+        high = rest << b | 1 << m
+        masks = lows | high
+        sums = low_sums.copy()
+        diffs = low_diffs.copy()
+        for h in range(b, m + 1):
+            if high >> h & 1:
+                sums |= masks << h
+                diffs |= masks << (m - h)
+        sum_size = np.bitwise_count(sums)
+        diff_size = 2 * np.bitwise_count(diffs & nonpositive) - 1
+        sum_dominated += int(np.count_nonzero(sum_size > diff_size))
+        balanced += int(np.count_nonzero(sum_size == diff_size))
+    return sum_dominated, balanced, (1 << (m - 1)) - sum_dominated - balanced
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +544,8 @@ def empirical_crossover(
         raise ValueError(f"({f}, {g}) is {report.case}; crossover needs a case-ii pair")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     grid = [float(c) for c in c_grid]
     if len(grid) < 2 or sorted(grid) != grid:
         raise ValueError("c_grid must be ascending with at least two points")

@@ -111,3 +111,30 @@ def expected_collision_free_ratio(trials, p):
 def subsets(universe):
     for r in range(len(universe) + 1):
         yield from itertools.combinations(universe, r)
+
+
+def enumerate_oracle(n):
+    """Classify every subset of [0, n] one bitmask at a time, with Python ints."""
+    counts = {"sum_dominated": 0, "balanced": 0, "difference_dominated": 0}
+    for mask in range(1 << (n + 1)):
+        if mask.bit_count() <= 1:
+            counts["balanced"] += 1
+            continue
+        rest = mask
+        s = 0
+        d = 0
+        while rest:
+            low = rest & (-rest)
+            i = low.bit_length() - 1
+            s |= mask << i
+            d |= mask << (n - i)
+            rest ^= low
+        ssize = s.bit_count()
+        dsize = d.bit_count()
+        if ssize > dsize:
+            counts["sum_dominated"] += 1
+        elif ssize == dsize:
+            counts["balanced"] += 1
+        else:
+            counts["difference_dominated"] += 1
+    return counts

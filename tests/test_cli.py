@@ -28,6 +28,22 @@ def test_enumerate_above_cap_is_runtime_error(capsys):
     assert "error" in err
 
 
+def test_enumerate_pinned_counts(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "20")
+    assert code == 0
+    # the digest perfbench records for the exhaustive workload
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "f835f6951f0e96abc6f78d66cd06d644e4d4e931af1ef6236c52589d9d67947a"
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "14")
+    assert code == 0
+    assert out == (
+        "N=14 subsets=32768\n"
+        "sum_dominated=4\n"
+        "balanced=4476\n"
+        "difference_dominated=28288\n"
+    )
+
+
 def test_compare_sharp_threshold_pair(capsys):
     code, out, _ = run_cli(capsys, "compare", "--form", "4,-3", "--form", "5,-1")
     assert code == 0
@@ -180,6 +196,18 @@ def test_crossover_command(capsys):
     for threads in ("0", "two"):
         code, _, err = run_cli(capsys, *argv, "--threads", threads)
         assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_crossover_rejects_seed_outside_uint64(capsys, seed):
+    code, out, err = run_cli(
+        capsys,
+        "crossover", "--form", "4,-3", "--form", "5,-1", "--n", "10000",
+        "--c-grid", "0.5,1", "--trials", "2", "--seed", seed,
+    )
+    assert code == 1
+    assert out == ""
+    assert "seed must fit in an unsigned 64-bit integer" in err
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -355,6 +355,13 @@ def test_enumerate_rejects_above_cap():
         enumerate_exhaustive(27)
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_enumerate_matches_oracle(n):
+    from oracles import enumerate_oracle
+
+    assert enumerate_exhaustive(n) == enumerate_oracle(n)
+
+
 def test_enumerate_matches_per_subset_classification():
     from collections import Counter
 
