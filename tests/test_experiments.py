@@ -362,6 +362,18 @@ def test_enumerate_matches_oracle(n):
     assert enumerate_exhaustive(n) == enumerate_oracle(n)
 
 
+@pytest.mark.parametrize("low_bits", [1, 4])
+def test_enumerate_batch_split_matches_oracle(monkeypatch, low_bits):
+    # below N = 14 every set's high part is just its maximum; narrow the
+    # batches so that high parts with several members are checked too
+    import sumdiff.experiments as exp
+    from oracles import enumerate_oracle
+
+    monkeypatch.setattr(exp, "_LOW_BITS", low_bits)
+    for n in range(11):
+        assert enumerate_exhaustive(n) == enumerate_oracle(n)
+
+
 def test_enumerate_matches_per_subset_classification():
     from collections import Counter
 
