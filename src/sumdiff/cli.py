@@ -27,7 +27,7 @@ from .experiments import (
 )
 from .predictions import asymptotic_bundle
 from .sampling import PFamily, SamplerSeed, p_of, sample
-from .sets import LinearForm, classify, form_image
+from .sets import LinearForm, _image_size, classify
 from .thresholds import classify_pair
 
 EXIT_OK = 0
@@ -137,7 +137,7 @@ def _cmd_sample(args) -> int:
     print(f"diffset_size={result.diffset_size} missing_diffs={result.missing_diffs}")
     print(f"classification={result.label}")
     for f in args.form:
-        size = form_image(a, f).count
+        size = _image_size(a, f.coeffs)
         stem = form_column_stem(f)
         print(f"{stem}_size={size} {stem}_missing={f.weight * args.n - size}")
     return EXIT_OK

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle
-from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, p_of, sample, sample_uniforms
+from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _draw_below, _word_limit, p_of, sample
+from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import (
     IntegerSet,
     LinearForm,
@@ -532,7 +533,7 @@ def empirical_crossover(
 ) -> CrossoverResult:
     """Domination frequency P(|f(A)| > |g(A)|) at p = c * N**-0.5 per grid c.
 
-    Trials share the underlying uniforms across grid points (the sampler
+    Trials share one sampler stream across grid points (the sampler
     couples sets monotonically in p), so the frequency curve moves as a
     whole and its 1/2-crossing is stable.  The crossover estimate is the
     median of the piecewise-linear interpolant's crossings of 1/2.  Trials
@@ -576,11 +577,12 @@ def _crossover_trial(
     The sets grow with p, so each form's image marks grow with them: at
     each p only the pairs with a newly sampled element are added.
     """
-    uniforms = sample_uniforms(n, SamplerSeed(seed, trial_index))
-    members = np.flatnonzero(uniforms < ps[-1])
-    # in the order of their uniforms, so that the set at each p is a prefix
-    members = members[np.argsort(uniforms[members])]
-    ends = np.searchsorted(uniforms[members], ps)
+    members, words = _draw_below(n, ps[-1], SamplerSeed(seed, trial_index))
+    # in the order of their words, so that the set at each p is a prefix
+    order = np.argsort(words)
+    members = members[order]
+    limits = np.array([_word_limit(p) for p in ps], dtype=np.uint64)
+    ends = np.searchsorted(words[order], limits)
     # start from the images of the empty subset of [0, n]
     empty = IntegerSet([], 0, n)
     images = [(*_image(empty, form.coeffs), form.coeffs) for form in forms]

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from sumdiff import LinearForm, SamplerSeed, form_image, sample
 from sumdiff.cli import main
 
 
@@ -87,7 +88,22 @@ def test_sample_with_form(capsys):
         capsys, "sample", "--n", "200", "--c", "1", "--delta", "0.5", "--form", "2,-1"
     )
     assert code == 0
-    assert "form_2_-1_size=" in out
+    # the size printed is that of the image built in full
+    a = sample(200, 200**-0.5, SamplerSeed(0))
+    assert f"form_2_-1_size={form_image(a, LinearForm((2, -1))).count}" in out
+
+
+def test_trial_index_beyond_64_bits_is_usage_error():
+    proc = subprocess.run(
+        [sys.executable, "-m", "sumdiff.cli", "sample", "--n", "100", "--p", "0.5",
+         "--trial-index", str(2**64)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sumdiff: error:")
 
 
 def test_usage_errors(capsys):
