@@ -13,8 +13,8 @@ from sumdiff.sampling import _draw_below, _word_limit
 # probabilities at which an error in the word threshold would show: the
 # sparse p, exact multiples of 2**-53 and their neighbours, the extremes
 SPEC_PS = (
-    1e6**-0.7, 1e-3, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
-    2.0**-53, 2 * 2.0**-53, 3 * 2.0**-53, np.nextafter(1.0, 0.0), 5e-324,
+    1e6**-0.7, 1e-3, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+    2.0**-53, 2 * 2.0**-53, 3 * 2.0**-53, math.nextafter(1.0, 0.0), 5e-324,
 )
 # around Philox's 4-word blocks and the 2**16-word chunks
 SPEC_NS = (0, 1, 3, 4, 5, 65535, 65536, 65537, 200003)
@@ -61,19 +61,27 @@ def test_seed_validation():
     assert sample(10, 0.5, SamplerSeed(2**64 - 1, 2**64 - 1)).hi == 10
 
 
+def _philox(n, key):
+    return np.random.Philox(key=[key.seed, key.trial_index], counter=[0, 0, n, 0])
+
+
 def _float_spec(n, key):
     """The uniforms the sampler is specified by, computed without the package."""
-    bitgen = np.random.Philox(key=[key.seed, key.trial_index], counter=[0, 0, n, 0])
-    return np.random.Generator(bitgen).random(n + 1)
+    return np.random.Generator(_philox(n, key)).random(n + 1)
 
 
 @pytest.mark.parametrize("n", SPEC_NS)
 def test_sample_matches_float_specification(n):
     key = SamplerSeed(2024, 5)
     uniforms = _float_spec(n, key)
-    for p in SPEC_PS:
+    # a word whose low 11 bits are clear is the limit of the p of its own
+    # uniform, and that p excludes it
+    words = _philox(n, key).random_raw(n + 1)
+    at_words = [float(w >> 11) * 2.0**-53 for w in words[words % 2048 == 0][:3] if w >> 11]
+    assert at_words or n < 65535
+    for p in SPEC_PS + tuple(at_words):
         expected = np.flatnonzero(uniforms < p)
-        assert np.array_equal(sample(n, float(p), key).members(), expected), p
+        assert np.array_equal(sample(n, p, key).members(), expected), p
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 5, 7])
@@ -82,18 +90,18 @@ def test_chunk_size_does_not_change_the_draw(monkeypatch, chunk):
     # default chunks and adds nothing for these short ones
     monkeypatch.setattr(sampling, "_CHUNK", chunk)
     key = SamplerSeed(2024, 5)
-    top = float(np.nextafter(1.0, 0.0))
+    top = math.nextafter(1.0, 0.0)
     for n in SPEC_NS[:-1]:
         uniforms = _float_spec(n, key)
-        words = np.random.Philox(key=[2024, 5], counter=[0, 0, n, 0]).random_raw(n + 1)
+        words = _philox(n, key).random_raw(n + 1)
         members, kept = _draw_below(n, top, key)
         assert np.array_equal(members, np.flatnonzero(uniforms < top))
         assert np.array_equal(kept, words[members])
         for p in SPEC_PS:
             expected = np.flatnonzero(uniforms < p)
-            assert np.array_equal(members[kept < np.uint64(_word_limit(float(p)))], expected)
+            assert np.array_equal(members[kept < np.uint64(_word_limit(p))], expected)
             if n <= 5:
-                assert np.array_equal(sample(n, float(p), key).members(), expected)
+                assert np.array_equal(sample(n, p, key).members(), expected)
 
 
 @given(
@@ -102,7 +110,7 @@ def test_chunk_size_does_not_change_the_draw(monkeypatch, chunk):
 )
 @example(2.0**-53, -1)
 @example(2.0**-53, 0)
-@example(float(np.nextafter(1.0, 0.0)), (1 << 11) - 1)
+@example(math.nextafter(1.0, 0.0), (1 << 11) - 1)
 @example(5e-324, 0)
 @settings(max_examples=300, deadline=None)
 def test_word_limit_equals_float_threshold(p, offset):
