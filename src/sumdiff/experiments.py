@@ -13,6 +13,7 @@ import math
 import os
 import statistics as pystats
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from io import StringIO
@@ -25,17 +26,10 @@ from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _draw_below, _word_limit, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
-from .sets import (
-    IntegerSet,
-    LinearForm,
-    _grow_image,
-    _image,
-    _image_size,
-    rep_histogram,
-    repeated_gap_pairs,
-    tuple_statistic,
-)
+from .sets import IntegerSet, LinearForm, _grow_image, _image, _image_size, _tuple_count
+from .sets import multiplicity_profile, rep_histogram
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
+from .sets import repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
 from .thresholds import classify_pair
 from .bounds import BoundReport, bound_report
 
@@ -76,8 +70,7 @@ class ExperimentConfig:
             raise ValueError("n_list must contain positive integers")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        SamplerSeed(self.seed)
         if self.output not in ("csv", "json"):
             raise ValueError("output must be 'csv' or 'json'")
         _check_threads(self.threads)
@@ -94,41 +87,64 @@ def _reject_unknown(mapping: dict, allowed: Iterable[str], where: str) -> None:
         raise ValueError(f"unknown {where} fields: {sorted(unknown)}")
 
 
+# The JSON values a config field may hold, by the name its error gives them.
+# Types are compared exactly, so that a JSON boolean is not an integer.
+_KINDS: dict[str, Callable[[Any], bool]] = {
+    "a boolean": lambda v: type(v) is bool,
+    "an integer": lambda v: type(v) is int,
+    "an integer or 'auto'": lambda v: type(v) is int or v == "auto",
+    "a number": lambda v: type(v) in (int, float),
+    "an object": lambda v: type(v) is dict,
+    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
+    "a list of forms": lambda v: type(v) is list and all(map(_KINDS["a list of integers"], v)),
+}
+
+
+def _field(obj: dict, key: str, kind: str, where: str, default: Any = None) -> Any:
+    """``obj[key]``, of ``kind`` (a key of _KINDS); ``default`` if absent, required if None."""
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"{where} field {key!r} is required")
+        return default
+    value = obj[key]
+    if not _KINDS[kind](value):
+        raise ValueError(f"{where} field {key!r} must be {kind}, got {value!r}")
+    return value
+
+
 def _family_from_json(obj: dict) -> PFamily:
     _reject_unknown(obj, {"variant", "p", "c", "delta"}, "family")
-    variant = obj.get("variant")
-    if variant == "explicit":
-        return PFamily.explicit(obj["p"])
-    if variant == "power-law":
-        return PFamily.power_law(obj["c"], obj["delta"])
-    raise ValueError(f"unknown family variant {variant!r}")
+    numbers = {k: float(_field(obj, k, "a number", "family")) for k in obj if k != "variant"}
+    return PFamily(obj.get("variant"), **numbers)
 
 
 def _statistics_from_json(obj: dict) -> StatisticsSpec:
     _reject_unknown(obj, {"sizes", "missing", "xk", "forms", "y"}, "statistics")
-    forms = tuple(LinearForm(tuple(f)) for f in obj.get("forms", ()))
+    forms = _field(obj, "forms", "a list of forms", "statistics", [])
     return StatisticsSpec(
-        sizes=bool(obj.get("sizes", True)),
-        missing=bool(obj.get("missing", True)),
-        max_k=int(obj.get("xk", 0)),
-        forms=forms,
-        y=bool(obj.get("y", False)),
+        sizes=_field(obj, "sizes", "a boolean", "statistics", True),
+        missing=_field(obj, "missing", "a boolean", "statistics", True),
+        max_k=_field(obj, "xk", "an integer", "statistics", 0),
+        forms=tuple(LinearForm(tuple(f)) for f in forms),
+        y=_field(obj, "y", "a boolean", "statistics", False),
     )
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
+    """The config of a JSON document; a field missing or of the wrong type is a ValueError."""
+    if type(obj) is not dict:
+        raise ValueError(f"a config must be a JSON object, got {obj!r}")
     _reject_unknown(
         obj, {"n_list", "family", "trials", "seed", "statistics", "output", "threads"}, "config"
     )
-    threads = obj.get("threads", "auto")
     return ExperimentConfig(
-        n_list=tuple(int(n) for n in obj["n_list"]),
-        family=_family_from_json(obj["family"]),
-        trials=int(obj["trials"]),
-        seed=int(obj.get("seed", 0)),
-        statistics=_statistics_from_json(obj.get("statistics", {})),
+        n_list=tuple(_field(obj, "n_list", "a list of integers", "config")),
+        family=_family_from_json(_field(obj, "family", "an object", "config")),
+        trials=_field(obj, "trials", "an integer", "config"),
+        seed=_field(obj, "seed", "an integer", "config", 0),
+        statistics=_statistics_from_json(_field(obj, "statistics", "an object", "config", {})),
         output=obj.get("output", "csv"),
-        threads=threads if threads == "auto" else int(threads),
+        threads=_field(obj, "threads", "an integer or 'auto'", "config", "auto"),
     )
 
 
@@ -188,33 +204,29 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
         form_sizes[f] = size
         form_missing[f] = f.weight * n - size
 
-    xs: tuple[int, ...] = ()
-    xps: tuple[int, ...] = ()
-    y: int | None = None
-    diff_hist = None
+    xs = xps = ()
+    y = None
+    if spec.max_k > 0 or spec.y:
+        diff_hist = rep_histogram(a, "diff")
+        gaps = multiplicity_profile(diff_hist)
+        xps = tuple(_tuple_count(gaps, k) for k in range(1, spec.max_k + 1))
+        y = _tuple_count(gaps, 2) // 2 if spec.y else None  # repeated_gap_pairs
     if spec.max_k > 0:
         sum_hist = rep_histogram(a, "sum")
-        diff_hist = rep_histogram(a, "diff")
-        xs = tuple(tuple_statistic(sum_hist, k) for k in range(1, spec.max_k + 1))
-        xps = tuple(tuple_statistic(diff_hist, k) for k in range(1, spec.max_k + 1))
-        if sum_size is None:
-            sum_size = sum_hist.support_size()
-            diff_size = diff_hist.support_size()
-        if a.count:
-            _check_partial_sum_identity(sum_size, xs, 0, "sums")
-            _check_partial_sum_identity(diff_size, xps, 1, "differences")
-    if spec.y:
-        if diff_hist is None:
-            diff_hist = rep_histogram(a, "diff")
-        y = repeated_gap_pairs(diff_hist)
+        sums = multiplicity_profile(sum_hist)
+        xs = tuple(_tuple_count(sums, k) for k in range(1, spec.max_k + 1))
+        if a.count:  # without image sizes, the histograms' supports are checked
+            _check_partial_sum_identity(sum_size or sum_hist.support_size(), xs, 0, "sums")
+            diff_support = diff_size or diff_hist.support_size()
+            _check_partial_sum_identity(diff_support, xps, 1, "differences")
 
     return TrialRecord(
         n=n,
         p=p,
         trial_index=trial_index,
         set_size=a.count,
-        sumset_size=sum_size if (spec.sizes or spec.missing) else None,
-        diffset_size=diff_size if (spec.sizes or spec.missing) else None,
+        sumset_size=sum_size,
+        diffset_size=diff_size,
         missing_sums=miss_s,
         missing_diffs=miss_d,
         form_sizes=form_sizes,
@@ -248,17 +260,19 @@ def _run_tasks(task: Callable[[Any], Any], tasks: Sequence[Any], threads: int | 
     return results
 
 
-def _name_failure(seed: int, n: int, trial_index: int, exc: Exception) -> RuntimeError:
+@contextmanager
+def _naming_trial(seed: int, n: int, trial_index: int):
     # pool chunks lose which task failed, so the message names the trial
-    return RuntimeError(f"seed={seed} N={n} trial_index={trial_index}: {exc}")
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"seed={seed} N={n} trial_index={trial_index}: {exc}") from exc
 
 
 def _trial_task(config: ExperimentConfig, task: tuple[int, int]) -> TrialRecord:
     n, trial_index = task
-    try:
+    with _naming_trial(config.seed, n, trial_index):
         return run_trial(config, n, trial_index)
-    except Exception as exc:
-        raise _name_failure(config.seed, n, trial_index, exc) from exc
 
 
 @dataclass(frozen=True)
@@ -292,7 +306,6 @@ def _summarize(values: Sequence[float], prediction: float | None) -> StatSummary
         prediction=prediction,
         relative_error=rel,
     )
-
 
 
 def form_column_stem(form: LinearForm) -> str:
@@ -545,8 +558,7 @@ def empirical_crossover(
         raise ValueError(f"({f}, {g}) is {report.case}; crossover needs a case-ii pair")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    SamplerSeed(seed)
     grid = [float(c) for c in c_grid]
     if len(grid) < 2 or sorted(grid) != grid:
         raise ValueError("c_grid must be ascending with at least two points")
@@ -563,10 +575,8 @@ def empirical_crossover(
 def _crossover_task(
     forms: tuple[LinearForm, LinearForm], n: int, ps: tuple[float, ...], seed: int, trial_index: int
 ) -> list[bool]:
-    try:
+    with _naming_trial(seed, n, trial_index):
         return _crossover_trial(forms, n, ps, seed, trial_index)
-    except Exception as exc:
-        raise _name_failure(seed, n, trial_index, exc) from exc
 
 
 def _crossover_trial(
@@ -640,23 +650,18 @@ def verify_bounds(
     c: float, delta: float, g_exp: float, n: int, trials: int, seed: int
 ) -> BoundCheck:
     """Empirical failure rates of the cardinality interval and the
-    collision threshold, compared against their explicit bounds P1, P2."""
+    collision threshold, compared against their explicit bounds P1, P2.
+
+    The trials are those of a sweep at N = n collecting |A| and Y, so they
+    run on the trial pool and a failure names its trial."""
     report = bound_report(c, delta, g_exp, n)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    p = p_of(PFamily.power_law(c, delta), n)
+    family = PFamily.power_law(c, delta)
+    p_of(family, n)  # a p outside (0, 1) is a usage error before any worker starts
+    spec = StatisticsSpec(sizes=False, missing=False, y=True)
+    records, _ = run_experiment(ExperimentConfig((n,), family, trials, seed, spec))
     lo, hi = report.card_interval
-    card_out = 0
-    y_out = 0
-    for t in range(trials):
-        a = sample(n, p, SamplerSeed(seed, t))
-        if not lo <= a.count <= hi:
-            card_out += 1
-        y = repeated_gap_pairs(rep_histogram(a, "diff"))
-        if y > report.Y_threshold:
-            y_out += 1
-    card_rate = card_out / trials
-    y_rate = y_out / trials
+    card_rate = sum(not lo <= r.set_size <= hi for r in records) / trials
+    y_rate = sum(r.y > report.Y_threshold for r in records) / trials
     flags = []
     if _exceeds(card_rate, report.P1, trials):
         flags.append(

@@ -398,13 +398,23 @@ def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> R
     return RepHistogram(kind, lo, hi, counts, form=form if kind == "form" else None)
 
 
-def _effective_counts(hist: RepHistogram) -> np.ndarray:
-    """Counts over the effective domain (zero difference excluded for diff)."""
+def multiplicity_profile(hist: RepHistogram) -> dict[int, int]:
+    """tau_i = number of values with exactly i representations, i >= 1.
+
+    The zero difference, R(0) = |A|, is left out of a diff histogram's
+    profile.  This is the one pass over a histogram's counts: every
+    collision statistic is a sum over the profile.
+    """
+    keep = hist.counts > 0
     if hist.kind == "diff" and hist.domain_lo <= 0 <= hist.domain_hi:
-        counts = hist.counts.copy()
-        counts[0 - hist.domain_lo] = 0
-        return counts
-    return hist.counts
+        keep[-hist.domain_lo] = False
+    sizes, times = np.unique(hist.counts[keep], return_counts=True)
+    return dict(zip(sizes.tolist(), times.tolist()))
+
+
+def _tuple_count(profile: dict[int, int], k: int) -> int:
+    """Sum over i of C(i, k) * tau_i, in exact integers."""
+    return sum(math.comb(i, k) * times for i, times in profile.items())
 
 
 def tuple_statistic(hist: RepHistogram, k: int) -> int:
@@ -415,24 +425,7 @@ def tuple_statistic(hist: RepHistogram, k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    counts = _effective_counts(hist)
-    relevant = counts[counts >= k]
-    if relevant.size == 0:
-        return 0
-    total = 0
-    for r, times in zip(*np.unique(relevant, return_counts=True)):
-        total += math.comb(int(r), k) * int(times)
-    return total
-
-
-def multiplicity_profile(hist: RepHistogram) -> dict[int, int]:
-    """tau_i = number of values with exactly i representations, i >= 1."""
-    counts = _effective_counts(hist)
-    positive = counts[counts > 0]
-    if positive.size == 0:
-        return {}
-    sizes, times = np.unique(positive, return_counts=True)
-    return {int(i): int(t) for i, t in zip(sizes, times)}
+    return _tuple_count(multiplicity_profile(hist), k)
 
 
 def repeated_gap_pairs(hist: RepHistogram) -> int:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from sumdiff import LinearForm, SamplerSeed, form_image, sample
+from sumdiff import ExperimentAborted, LinearForm, SamplerSeed, form_image, sample, verify_bounds
 from sumdiff.cli import main
 
 
@@ -174,6 +174,55 @@ def test_sweep_rejects_bad_config(tmp_path, capsys):
     assert "unknown" in err
 
 
+_CONFIG = {"n_list": [30], "family": {"variant": "explicit", "p": 0.5}, "trials": 1, "threads": 1}
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "field, doc",
+    [
+        ("sizes", {**_CONFIG, "statistics": {"sizes": "false"}}),
+        ("missing", {**_CONFIG, "statistics": {"missing": 0}}),
+        ("'y'", {**_CONFIG, "statistics": {"y": "yes"}}),
+        ("xk", {**_CONFIG, "statistics": {"xk": 2.0}}),
+        ("forms", {**_CONFIG, "statistics": {"forms": [[2.5, -1]]}}),
+        ("n_list", {**_CONFIG, "n_list": [300.7]}),
+        ("n_list", {**_CONFIG, "n_list": 300}),
+        ("n_list", {**_CONFIG, "n_list": [True]}),
+        ("trials", {**_CONFIG, "trials": 2.9}),
+        ("trials", {**_CONFIG, "trials": "3"}),
+        ("trials", {**_CONFIG, "trials": True}),
+        ("trials", _without(_CONFIG, "trials")),
+        ("seed", {**_CONFIG, "seed": 1.0}),
+        ("threads", {**_CONFIG, "threads": 1.5}),
+        ("threads", {**_CONFIG, "threads": True}),
+        ("family", _without(_CONFIG, "family")),
+        ("'p'", {**_CONFIG, "family": {"variant": "explicit", "p": "0.5"}}),
+        ("'c'", {**_CONFIG, "family": {"variant": "power-law", "c": True, "delta": 0.5}}),
+        ("delta", {**_CONFIG, "family": {"variant": "power-law", "c": 1.0}}),
+        ("JSON object", [_CONFIG]),
+    ],
+    ids=[
+        "sizes-string", "missing-int", "y-string", "xk-float", "forms-float",
+        "n_list-float", "n_list-number", "n_list-bool", "trials-float", "trials-string",
+        "trials-bool", "trials-missing", "seed-float", "threads-float", "threads-bool", "family-missing",
+        "p-string", "c-bool", "delta-missing", "list-document",
+    ],
+)
+def test_sweep_config_field_types(tmp_path, capsys, field, doc):
+    # JSON booleans for flags, integers (not floats or booleans) for counts,
+    # numbers for the family; a missing field is named, not a traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("sumdiff: error:") and err.count("\n") == 1
+    assert field in err
+
+
 def test_sweep_rejects_repeated_form(capsys):
     code, out, err = run_cli(
         capsys,
@@ -263,6 +312,41 @@ def test_verify_bounds_bad_params(capsys):
     )
     assert code == 1
     assert "g_exp" in err
+
+
+def test_verify_bounds_failure_names_the_trial(monkeypatch, capsys):
+    import sumdiff.experiments as exp
+
+    real = exp.run_trial
+
+    def flaky(config, n, trial_index):
+        if trial_index == 3:
+            raise RuntimeError("synthetic trial failure")
+        return real(config, n, trial_index)
+
+    monkeypatch.setattr(exp, "run_trial", flaky)
+    with pytest.raises(ExperimentAborted, match="seed=17 N=1000 trial_index=3: synthetic"):
+        verify_bounds(1.0, 0.6, 0.2, 1000, trials=400, seed=17)
+    code, out, err = run_cli(
+        capsys,
+        "verify-bounds", "--c", "1", "--delta", "0.6", "--g-exp", "0.2",
+        "--n", "1000", "--trials", "400", "--seed", "17",
+    )
+    assert (code, out) == (2, "")
+    assert "seed=17 N=1000 trial_index=3: synthetic trial failure" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--c", "5", "--delta", "0.6", "--g-exp", "0.2", "--n", "10"),  # p(10) > 1
+        ("--c", "1", "--delta", "0.6", "--g-exp", "0.2", "--n", "1000", "--seed", "-1"),
+    ],
+)
+def test_verify_bounds_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, "verify-bounds", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("sumdiff: error:")
 
 
 def test_console_entry_point():

@@ -15,15 +15,22 @@ from sumdiff import (
     StatisticsSpec,
     asymptotic_bundle,
     config_from_dict,
+    diffset,
     empirical_crossover,
     enumerate_exhaustive,
     form_image,
     load_config,
+    p_of,
     records_to_csv,
+    rep_histogram,
+    repeated_gap_pairs,
     results_to_json,
     run_experiment,
     run_trial,
+    sample,
     solve_threshold,
+    sumset,
+    tuple_statistic,
     verify_bounds,
 )
 from sumdiff.sampling import sample_uniforms
@@ -76,6 +83,29 @@ def test_run_trial_partial_sum_identity_holds():
     partial = rec.xp[0] - rec.xp[1] + rec.xp[2]
     assert abs((rec.diffset_size - 1) - (rec.xp[0] - rec.xp[1] + rec.xp[2])) <= rec.xp[2]
     assert rec.x and partial != 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        StatisticsSpec(max_k=4, y=True),
+        StatisticsSpec(sizes=False, missing=False, y=True),
+        StatisticsSpec(sizes=False, missing=False, max_k=3),
+    ],
+)
+def test_run_trial_collisions_match_histograms(spec):
+    # X_k, X'_k and Y from one profile per histogram equal the public statistics
+    config = small_config(family=PFamily.explicit(0.2), statistics=spec)
+    for t in range(3):
+        rec = run_trial(config, 400, t)
+        a = sample(400, 0.2, SamplerSeed(99, t))
+        sums, diffs = rep_histogram(a, "sum"), rep_histogram(a, "diff")
+        ks = range(1, spec.max_k + 1)
+        assert rec.x == tuple(tuple_statistic(sums, k) for k in ks)
+        assert rec.xp == tuple(tuple_statistic(diffs, k) for k in ks)
+        assert rec.y == (repeated_gap_pairs(diffs) if spec.y else None)
+        assert rec.sumset_size == (sumset(a).count if spec.sizes else None)
+        assert rec.diffset_size == (diffset(a).count if spec.sizes else None)
 
 
 def test_statistics_spec_validation():
@@ -501,6 +531,17 @@ def test_verify_bounds_small_run():
     assert check.ok
     assert check.card_violation_rate <= check.report.P1
     assert check.y_violation_rate <= check.report.P2
+    # the rates of a serial loop over the same trials: sample, difference
+    # histogram, repeated gap pairs
+    lo, hi = check.report.card_interval
+    p = p_of(PFamily.power_law(1.0, 0.6), 1000)
+    card_out = y_out = 0
+    for t in range(400):
+        a = sample(1000, p, SamplerSeed(17, t))
+        card_out += not lo <= a.count <= hi
+        y_out += repeated_gap_pairs(rep_histogram(a, "diff")) > check.report.Y_threshold
+    assert check.card_violation_rate == card_out / 400 > 0
+    assert check.y_violation_rate == y_out / 400
 
 
 def test_verify_bounds_propagates_parameter_errors():
