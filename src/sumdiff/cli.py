@@ -189,14 +189,23 @@ def _parse_stats(text: str, forms: list[LinearForm]) -> StatisticsSpec:
         elif token == "y":
             y = True
         elif token.startswith("xk:"):
-            max_k = int(token.split(":", 1)[1])
+            max_k = _int_flag(token.split(":", 1)[1], "--stats xk:")
         else:
             raise ValueError(f"unknown statistic {token!r}")
     return StatisticsSpec(sizes=sizes, missing=missing, max_k=max_k, forms=tuple(forms), y=y)
 
 
+def _int_flag(text: str, flag: str, also: str = "") -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag} needs an integer{also}, got {text!r}") from None
+
+
 def _threads_from(args) -> int | str:
-    return args.threads if args.threads == "auto" else int(args.threads)
+    if args.threads == "auto":
+        return "auto"
+    return _int_flag(args.threads, "--threads", " or 'auto'")
 
 
 def _cmd_sweep(args) -> int:

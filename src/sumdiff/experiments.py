@@ -26,10 +26,10 @@ from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _draw_below, _word_limit, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
-from .sets import IntegerSet, LinearForm, _grow_image, _image, _image_size, _tuple_count
-from .sets import multiplicity_profile, rep_histogram
+from .sets import _KIND_COEFFS, IntegerSet, LinearForm, _SelfPairSums, _grow_image, _image
+from .sets import _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
-from .sets import repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
+from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
 from .thresholds import classify_pair
 from .bounds import BoundReport, bound_report
 
@@ -189,35 +189,38 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     spec = config.statistics
     total = 2 * n + 1
 
+    # One plan for every image and histogram, so that they share A's
+    # spectrum at each FFT length.  The forms come between the sizes and the
+    # histograms, so that no histogram is held during a form's FFT.
+    size_coeffs = [(1, 1), (1, -1)] if spec.sizes or spec.missing else []
+    image_coeffs = size_coeffs + [f.coeffs for f in spec.forms]
+    kinds = ["diff"] * (spec.max_k > 0 or spec.y) + ["sum"] * (spec.max_k > 0)
+    pairs = _SelfPairSums(a, image_coeffs + [_KIND_COEFFS[kind] for kind in kinds])
+    sizes = [pairs.image_size(coeffs) for coeffs in image_coeffs]
+    hists = {kind: pairs.histogram(kind) for kind in kinds}
+    del pairs  # its FFT buffers go before the profiles sort the counts
+
     sum_size = diff_size = miss_s = miss_d = None
-    if spec.sizes or spec.missing:
-        sum_size = _image_size(a, (1, 1))
-        diff_size = _image_size(a, (1, -1))
+    if size_coeffs:
+        sum_size, diff_size = sizes[:2]
     if spec.missing:
         miss_s = total - sum_size
         miss_d = total - diff_size
-
-    form_sizes: dict[LinearForm, int] = {}
-    form_missing: dict[LinearForm, int] = {}
-    for f in spec.forms:
-        size = _image_size(a, f.coeffs)
-        form_sizes[f] = size
-        form_missing[f] = f.weight * n - size
+    form_sizes = dict(zip(spec.forms, sizes[len(size_coeffs):]))
+    form_missing = {f: f.weight * n - size for f, size in form_sizes.items()}
 
     xs = xps = ()
     y = None
-    if spec.max_k > 0 or spec.y:
-        diff_hist = rep_histogram(a, "diff")
-        gaps = multiplicity_profile(diff_hist)
+    if "diff" in hists:
+        gaps = multiplicity_profile(hists["diff"])
         xps = tuple(_tuple_count(gaps, k) for k in range(1, spec.max_k + 1))
         y = _tuple_count(gaps, 2) // 2 if spec.y else None  # repeated_gap_pairs
-    if spec.max_k > 0:
-        sum_hist = rep_histogram(a, "sum")
-        sums = multiplicity_profile(sum_hist)
+    if "sum" in hists:
+        sums = multiplicity_profile(hists["sum"])
         xs = tuple(_tuple_count(sums, k) for k in range(1, spec.max_k + 1))
         if a.count:  # without image sizes, the histograms' supports are checked
-            _check_partial_sum_identity(sum_size or sum_hist.support_size(), xs, 0, "sums")
-            diff_support = diff_size or diff_hist.support_size()
+            _check_partial_sum_identity(sum_size or hists["sum"].support_size(), xs, 0, "sums")
+            diff_support = diff_size or hists["diff"].support_size()
             _check_partial_sum_identity(diff_support, xps, 1, "differences")
 
     return TrialRecord(

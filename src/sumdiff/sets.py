@@ -10,15 +10,26 @@ the branch it runs, in time and in memory, and refuses a call that exceeds
 either budget.  Callers that need only an image's size count its marks
 without building the member array.
 
+The binary images and histograms of one set share its spectrum X, the
+rfft of A's indicator, taken once per FFT length: the pair sums under
+(u, v) are the inverse transform of X(u*k) * X(v*k), and the spectrum of
+A dilated by c is X(c*k mod nfft), read off X by strided slices.  So the
+sum set, the difference set and the (2,-1) image of one large set take 5
+transforms, not 9.  k-ary folds and grown images convolve two indicator
+vectors instead; both kinds of product end in the same inverse transform
+and exactness check.
+
 All operations are pure: values never mutate after construction.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -31,9 +42,10 @@ PAIR_BUDGET = 10**10
 # bytes: a quarter of an 8 GB host.
 PAIR_MEMORY_BUDGET = 2**31
 
-# Peak FFT workspace per slot of nfft, on top of the result: the float64
-# indicator buffer and the two half-length complex spectra (measured with
-# tracemalloc; see CHANGES.md).
+# Peak FFT workspace per slot of nfft, on top of the result: a float64
+# buffer (the indicators, then the inverse transform) and two half-length
+# complex spectra, on both the shared-spectrum and the two-indicator path
+# (measured with tracemalloc; see CHANGES.md).
 _FFT_BYTES_PER_SLOT = 24
 
 # Rows are blocked so each outer-product chunk stays ~10^7 entries.
@@ -237,7 +249,7 @@ def form_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
 
 def _image_size(a: IntegerSet, coeffs: tuple[int, ...]) -> int:
     """The size of the image of A under ``coeffs``, without building its members."""
-    return int(np.count_nonzero(_image(a, coeffs)[0]))
+    return _SelfPairSums(a).image_size(coeffs)
 
 
 def _image_interval(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[int, int]:
@@ -248,16 +260,134 @@ def _image_interval(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[int, int]:
 
 def _image(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[np.ndarray, int]:
     """The image's marks over its interval, and the interval's lo."""
-    # Fold one coefficient in at a time: the image of (c1, ..., cj) is the
-    # support of the pair sums of the image of (c1, ..., c(j-1)) and cj * A.
-    members = a.members()
-    image = coeffs[0] * members
-    for j in range(2, len(coeffs)):
-        lo, hi = _image_interval(a, coeffs[:j])
-        marks = _pair_sums(image, coeffs[j - 1] * members, lo, hi, count=False)
-        image = np.flatnonzero(marks) + lo
-    lo, hi = _image_interval(a, coeffs)
-    return _pair_sums(image, coeffs[-1] * members, lo, hi, count=False), lo
+    return _SelfPairSums(a).image(coeffs)
+
+
+class _SelfPairSums:
+    """The images and representation histograms of one set A.
+
+    The binary ones share A's spectrum X at each FFT length, and reuse its
+    arrays: X, a product spectrum and a float64 work buffer (the indicator,
+    then the inverse transform).  ``planned`` lists the coefficients of the
+    calls to come; X is kept after a product only while a planned product
+    at its length remains, so that the last one's inverse transform runs
+    without it.
+    """
+
+    def __init__(self, a: IntegerSet, planned: Iterable[tuple[int, ...]] = ()):
+        self.a = a
+        intervals = (_image_interval(a, c) for c in planned if len(c) == 2)
+        self._uses = Counter(_fft_length(hi - lo + 1) for lo, hi in intervals)
+        self._nfft = 0
+        self._buffers: tuple[np.ndarray, ...] = ()
+
+    def pair_sums(self, coeffs: tuple[int, int], count: bool) -> tuple[np.ndarray, int]:
+        """_pair_sums of u*A and v*A over the image interval, and its lo."""
+        a, (u, v) = self.a, coeffs
+        lo, hi = _image_interval(a, coeffs)
+        # The dilated indicators convolve u*a1 + v*a2 to the index
+        # u*(a1 - a.lo) + v*(a2 - a.lo) mod nfft, so lo - (u+v)*a.lo holds lo.
+        spectrum = partial(self._product, coeffs, lo - (u + v) * a.lo)
+        members = a.members()
+        return _pair_sums(u * members, v * members, lo, hi, count, None, spectrum), lo
+
+    def image(self, coeffs: tuple[int, ...]) -> tuple[np.ndarray, int]:
+        """The marks of A's image under ``coeffs`` over its interval, and the
+        interval's lo."""
+        if len(coeffs) == 2:
+            return self.pair_sums(coeffs, count=False)
+        # Fold one coefficient in at a time: the image of (c1, ..., cj) is the
+        # support of the pair sums of the image of (c1, ..., c(j-1)) and cj * A.
+        a = self.a
+        members = a.members()
+        image = coeffs[0] * members
+        for j in range(2, len(coeffs)):
+            lo, hi = _image_interval(a, coeffs[:j])
+            marks = _pair_sums(image, coeffs[j - 1] * members, lo, hi, count=False)
+            image = np.flatnonzero(marks) + lo
+        lo, hi = _image_interval(a, coeffs)
+        return _pair_sums(image, coeffs[-1] * members, lo, hi, count=False), lo
+
+    def image_size(self, coeffs: tuple[int, ...]) -> int:
+        return int(np.count_nonzero(self.image(coeffs)[0]))
+
+    def histogram(self, kind: str, form: LinearForm | None = None) -> RepHistogram:
+        """Representation histogram of A under the given operation."""
+        coeffs = _KIND_COEFFS.get(kind)
+        if kind == "form":
+            if form is None:
+                raise ValueError("kind='form' requires a LinearForm")
+            if form.arity != 2:
+                raise ValueError("histograms are defined for binary forms only")
+            coeffs = form.coeffs
+        elif coeffs is None:
+            raise ValueError(f"unknown histogram kind {kind!r}")
+        counts, lo = self.pair_sums(coeffs, count=True)
+        hi = lo + counts.size - 1
+        if kind == "sum":
+            # ordered pairs count {a1, a2} twice and (a, a) once
+            counts[2 * self.a.members() - lo] += 1
+            counts //= 2
+        return RepHistogram(kind, lo, hi, counts, form=form if kind == "form" else None)
+
+    def _product(
+        self, coeffs: tuple[int, int], start: int, nfft: int
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        if nfft != self._nfft:
+            self._nfft, self._buffers = 0, ()  # the previous length's arrays go first
+            work = np.zeros(nfft)
+            work[self.a.members() - self.a.lo] = 1.0
+            spectrum = np.fft.rfft(work)
+            self._nfft, self._buffers = nfft, (spectrum, np.empty_like(spectrum), work)
+        spectrum, product, work = self._buffers
+        _dilated_product(spectrum, coeffs, nfft, product)
+        self._uses[nfft] -= 1
+        if self._uses[nfft] < 1:  # no planned product at this length is left
+            self._nfft, self._buffers = 0, ()
+        return product, work, start
+
+
+def _dilated_product(x: np.ndarray, coeffs: tuple[int, ...], nfft: int, out: np.ndarray) -> None:
+    """out[k] = the product over c in ``coeffs`` of X(c*k mod nfft), for k in
+    [0, x.size), where x holds X(0), ..., X(nfft//2), the rfft of a real
+    vector of length nfft.
+
+    X(c*k mod nfft) is the spectrum of the vector dilated by c, and
+    X(nfft - j) = conj X(j).  Over each run of k on which no c*k mod nfft
+    wraps or passes nfft//2, a factor is a strided slice of x, conjugated
+    or not, so the product is formed in place one run at a time.
+    """
+    half = x.size
+    cuts = {0, half}
+    for c in coeffs:
+        m = abs(c)
+        for s in range(m + 1):
+            cuts.update(min(half, -(-edge // m)) for edge in (s * nfft, s * nfft + half))
+    cuts = sorted(cuts)
+    for k0, k1 in zip(cuts, cuts[1:]):
+        seg = out[k0:k1]
+        factors = sorted((_dilation(x, c, k0, k1 - k0, nfft) for c in coeffs), key=lambda f: not f[1])
+        # seg holds the conjugate of the running product while flipped
+        first, flipped = factors[0]
+        np.copyto(seg, first)
+        for view, conj in factors[1:]:
+            if conj != flipped:
+                np.conjugate(seg, out=seg)
+                flipped = conj
+            seg *= view
+        if flipped:
+            np.conjugate(seg, out=seg)
+
+
+def _dilation(x: np.ndarray, c: int, k0: int, n: int, nfft: int) -> tuple[np.ndarray, bool]:
+    """X(c*k mod nfft) for k in [k0, k0 + n), a run on which |c|*k mod nfft
+    neither wraps nor passes nfft//2: a strided slice of x, and whether it
+    is to be conjugated."""
+    m = abs(c)
+    j = m * k0 % nfft
+    if j < x.size:
+        return x[j::m][:n], c < 0
+    return x[nfft - j :: -m][:n], c > 0
 
 
 def _grow_image(
@@ -277,7 +407,7 @@ def _grow_image(
 
 def _pair_sums(
     left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, spectrum: Callable | None = None,
 ) -> np.ndarray:
     """Pair sums left[i] + right[j] over the values [lo, hi].
 
@@ -285,15 +415,17 @@ def _pair_sums(
     whether one does (bool) when ``count`` is false.  ``left`` and ``right``
     each hold distinct values, and every sum must lie in [lo, hi].  Given
     ``out`` (of that width and dtype), the result is added into it and
-    ``out`` is returned: counts accumulate, marks are OR-ed in.
+    ``out`` is returned: counts accumulate, marks are OR-ed in.  Given
+    ``spectrum``, the FFT branch takes its product spectrum from it (see
+    _fft_pair_sums).
 
-    Direct pairs cost |left|*|right|; a real-FFT convolution of the two
-    indicator vectors costs _PAIRS_PER_FFT_STEP*nfft*log2(nfft).  The
-    cheaper branch runs, and an FFT result that does not round to exact
-    integers falls back to direct pairs.  This is the package's only cost
-    model: before allocating anything, each branch raises
-    ResourceBudgetError if its cost exceeds the pair budget or its memory
-    (the result, plus the FFT's workspace) exceeds the memory budget.
+    Direct pairs cost |left|*|right|; a real-FFT convolution costs
+    _PAIRS_PER_FFT_STEP*nfft*log2(nfft).  The cheaper branch runs, and an
+    FFT result that does not round to exact integers falls back to direct
+    pairs.  This is the package's only cost model: before allocating
+    anything, each branch raises ResourceBudgetError if its cost exceeds
+    the pair budget or its memory (the result, plus the FFT's workspace)
+    exceeds the memory budget.
     """
     width = hi - lo + 1
     result_bytes = width * (8 if count else 1)
@@ -303,7 +435,7 @@ def _pair_sums(
     if pairs > fft_cost:
         fft_bytes = result_bytes + _FFT_BYTES_PER_SLOT * nfft
         _check_budget(fft_cost, fft_bytes, f"an FFT of length {nfft}")
-        found = _fft_pair_sums(left, right, lo, hi, count, out)
+        found = _fft_pair_sums(left, right, lo, hi, count, out, spectrum)
         if found is not None:
             return found
     _check_budget(pairs, result_bytes, f"{left.size} x {right.size} direct pairs")
@@ -348,54 +480,59 @@ def _fft_length(width: int) -> int:
 
 def _fft_pair_sums(
     left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, spectrum: Callable | None = None,
 ) -> np.ndarray | None:
     """The FFT branch of _pair_sums (left must not be empty); None unless
     every convolution value lies within 1/4 of an integer, so that rounding
-    it is exact."""
+    it is exact.
+
+    ``spectrum(nfft)`` returns the pair sums' product spectrum, a float64
+    work buffer of length nfft, and the index of lo in their cyclic
+    convolution; by default they come from the indicators of left and right.
+    """
     width = hi - lo + 1
     nfft = _fft_length(width)
+    product, work, start = (spectrum or partial(_indicator_product, left, right, lo))(nfft)
+    raw = np.fft.irfft(product, nfft, out=work)
+    exact = np.rint(raw, out=product.view(np.float64)[:nfft])  # the product is spent
+    raw -= exact
+    if np.abs(raw, out=raw).max() >= 0.25:
+        return None
+    if out is None:
+        out = np.zeros(width, dtype=np.int64 if count else bool)
+    # value lo + i is entry (start + i) mod nfft: width <= nfft, so no two collide
+    start %= nfft
+    head = min(width, nfft - start)
+    accumulate = np.add if count else np.logical_or  # exact holds integers >= 0
+    for part, values in ((out[:head], exact[start : start + head]), (out[head:], exact[: width - head])):
+        accumulate(part, values, out=part, casting="unsafe")
+    return out
+
+
+def _indicator_product(
+    left: np.ndarray, right: np.ndarray, lo: int, nfft: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The product of the spectra of left's and right's indicators, the
+    float64 buffer that held them, and lo's index (0) in their convolution."""
     # Index left from its minimum m and right from lo - m: both fit in
     # [0, width) and the index of each sum is its offset from lo, so the
     # cyclic convolution of length nfft >= width does not wrap.
     shift = int(left.min())
     x = np.zeros(nfft)
     x[left - shift] = 1.0
-    spectrum = np.fft.rfft(x)
+    product = np.fft.rfft(x)
     x[left - shift] = 0.0
     x[right - (lo - shift)] = 1.0
-    spectrum *= np.fft.rfft(x)
-    raw = np.fft.irfft(spectrum, nfft, out=x)[:width]
-    exact = np.rint(raw)
-    raw -= exact
-    if np.abs(raw, out=raw).max() >= 0.25:
-        return None
-    found = exact.astype(np.int64) if count else exact > 0
-    if out is None:
-        return found
-    out += found  # on bool arrays, + is OR
-    return out
+    product *= np.fft.rfft(x)
+    return product, x, 0
+
+
+_KIND_COEFFS = {"sum": (1, 1), "diff": (1, -1)}
 
 
 def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> RepHistogram:
     """Representation histogram of A under the given operation."""
-    coeffs = {"sum": (1, 1), "diff": (1, -1)}.get(kind)
-    if kind == "form":
-        if form is None:
-            raise ValueError("kind='form' requires a LinearForm")
-        if form.arity != 2:
-            raise ValueError("histograms are defined for binary forms only")
-        coeffs = form.coeffs
-    elif coeffs is None:
-        raise ValueError(f"unknown histogram kind {kind!r}")
-    members = a.members()
-    lo, hi = _image_interval(a, coeffs)
-    counts = _pair_sums(coeffs[0] * members, coeffs[1] * members, lo, hi, count=True)
-    if kind == "sum":
-        # ordered pairs count {a1, a2} twice and (a, a) once
-        counts[2 * members - lo] += 1
-        counts //= 2
-    return RepHistogram(kind, lo, hi, counts, form=form if kind == "form" else None)
+    return _SelfPairSums(a).histogram(kind, form)
 
 
 def multiplicity_profile(hist: RepHistogram) -> dict[int, int]:
@@ -453,8 +590,9 @@ def classify(a: IntegerSet) -> Classification:
     if a.lo != 0:
         raise ValueError("classification is defined for sets over [0, N]")
     n = a.hi
-    s = _image_size(a, (1, 1))
-    d = _image_size(a, (1, -1))
+    pairs = _SelfPairSums(a, [(1, 1), (1, -1)])
+    s = pairs.image_size((1, 1))
+    d = pairs.image_size((1, -1))
     if s > d:
         label = "sum-dominated"
     elif s == d:

@@ -223,6 +223,22 @@ def test_sweep_config_field_types(tmp_path, capsys, field, doc):
     assert field in err
 
 
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--threads", ("sweep", "--n", "30", "--p", "0.5", "--trials", "1", "--threads", "1.5")),
+        ("--stats xk:", ("sweep", "--n", "30", "--p", "0.5", "--trials", "1", "--stats", "xk:two")),
+        ("--threads", ("crossover", "--form", "4,-3", "--form", "5,-1", "--n", "1000",
+                       "--c-grid", "1", "--trials", "1", "--threads", "two")),
+    ],
+    ids=["sweep-threads", "sweep-xk", "crossover-threads"],
+)
+def test_bad_number_names_its_flag(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"sumdiff: error: {flag} needs an integer") and err.count("\n") == 1
+
+
 def test_sweep_rejects_repeated_form(capsys):
     code, out, err = run_cli(
         capsys,

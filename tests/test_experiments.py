@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -553,3 +556,24 @@ def test_verify_bounds_propagates_parameter_errors():
 
 def p_power(n, delta, c=1.0):
     return c * n**-delta
+
+
+def test_benchmark_trace_hooks_resolve(monkeypatch):
+    # perfbench/layers.py wraps package attributes by name for `--trace 1`;
+    # each must still exist where it looks, or the traced run dies
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)
+    spec.loader.exec_module(layers)
+    import sumdiff.cli  # noqa: F401  (layers wraps attributes of sumdiff.cli too)
+
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert len(tracer.spans) == 0
+    for module_name, attr, _, _ in layers.TRACED:
+        owner = sumdiff.sets.IntegerSet if module_name.endswith(".IntegerSet") else sys.modules[module_name]
+        assert callable(getattr(owner, attr)), (module_name, attr)

@@ -8,9 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumdiff import (
+    ExperimentConfig,
     IntegerSet,
     LinearForm,
+    PFamily,
     ResourceBudgetError,
+    SamplerSeed,
+    StatisticsSpec,
     classify,
     diffset,
     form_image,
@@ -18,6 +22,8 @@ from sumdiff import (
     multiplicity_profile,
     rep_histogram,
     repeated_gap_pairs,
+    run_trial,
+    sample,
     sumset,
     tuple_statistic,
 )
@@ -332,6 +338,12 @@ def test_pair_sum_branches_match_oracles(xs, offset, coeffs):
 def test_fft_guard_falls_back_to_pairs(monkeypatch):
     elems = np.flatnonzero(np.random.default_rng(5).random(2001) < 0.5).tolist()
     a = make_set(elems, 0, 2000)
+    config = ExperimentConfig(
+        n_list=(2000,), family=PFamily.explicit(0.5), trials=1, seed=5,
+        statistics=StatisticsSpec(sizes=True, missing=True, max_k=3, y=True,
+                                  forms=(LinearForm((2, -1)),)),
+    )
+    exact_record = run_trial(config, 2000, 0)
     real_irfft = np.fft.irfft
     monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: real_irfft(*args, **kw) + 0.3)
     real_fft_branch = sets._fft_pair_sums
@@ -345,6 +357,10 @@ def test_fft_guard_falls_back_to_pairs(monkeypatch):
     assert dict(rep_histogram(a, "diff").nonzero_items()) == dict(diff_rep_counts(elems))
     assert list(diffset(a)) == diffset_oracle(elems)
     assert len(attempts) == 2 and all(out is None for out in attempts)
+    # a trial whose every FFT fails the check equals the exact one: the two
+    # sizes, the form and the two histograms all fell back to direct pairs
+    assert run_trial(config, 2000, 0) == exact_record
+    assert len(attempts) == 7 and all(out is None for out in attempts)
 
 
 def test_fft_fallback_is_priced(monkeypatch):
@@ -373,6 +389,86 @@ def test_memory_budget_refuses_largest_priced_fft():
     a = IntegerSet.from_members(np.arange(0, 2 * 10**8, 2000), 0, 2 * 10**8)
     refuses_within_16_mib(lambda: rep_histogram(a, "diff"))
     refuses_within_16_mib(lambda: sumset(make_set([0, 3 * 10**9], 0, 3 * 10**9)))
+
+
+# --- the shared spectrum: every binary image and histogram of one set
+
+
+BINARY_FORMS = ((1, 1), (1, -1), (2, -1), (3, -2), (4, -3), (5, -1))
+
+
+@given(
+    st.lists(st.integers(0, 40), max_size=25),
+    st.integers(-30, 30),
+    st.integers(0, 8),
+    st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_shared_spectrum_matches_oracles(xs, offset, slack, planned):
+    # 1e-9 forces the FFT branch; [offset, offset + 40 + slack] shifts the
+    # interval and leaves room past the members
+    elems = sorted(set(x + offset for x in xs))
+    a = make_set(elems, offset, offset + 40 + slack)
+    calls = [(coeffs, False) for coeffs in BINARY_FORMS] + [((1, 1), True), ((1, -1), True), ((3, -2), True)]
+    with mock.patch.object(sets, "_PAIRS_PER_FFT_STEP", 1e-9):
+        pairs = sets._SelfPairSums(a, [coeffs for coeffs, _ in calls] if planned else ())
+        for coeffs, count in calls:
+            values, lo = pairs.pair_sums(coeffs, count)
+            assert (lo, lo + values.size - 1) == sets._image_interval(a, coeffs)
+            found = {int(i) + lo: int(c) for i, c in enumerate(values) if c}
+            expected = form_rep_counts(elems, *coeffs)
+            assert found == (expected if count else dict.fromkeys(expected, 1))
+        for coeffs in BINARY_FORMS:
+            assert list(form_image(a, LinearForm(coeffs))) == form_image_oracle(elems, coeffs)
+        assert dict(rep_histogram(a, "sum").nonzero_items()) == dict(sum_rep_counts(elems))
+        assert dict(rep_histogram(a, "diff").nonzero_items()) == dict(diff_rep_counts(elems))
+        form = LinearForm((3, -2))
+        assert dict(rep_histogram(a, "form", form).nonzero_items()) == form_rep_counts(elems, 3, -2)
+
+
+@pytest.mark.parametrize("nfft", [1, 2, 3, 8, 12, 45, 1024, 3 * 2**9])
+@pytest.mark.parametrize("c", [1, -1, 2, -3, 5])
+def test_dilated_spectrum_matches_rfft(nfft, c):
+    # X(c*k mod nfft), read off the half spectrum X, is the rfft of the
+    # indicator dilated by c modulo nfft
+    members = np.flatnonzero(np.random.default_rng(nfft).random(nfft) < 0.4)
+    x = np.zeros(nfft)
+    x[members] = 1.0
+    dilated = np.zeros(nfft)
+    np.add.at(dilated, c * members % nfft, 1.0)
+    spectrum = np.fft.rfft(x)
+    out = np.empty_like(spectrum)
+    sets._dilated_product(spectrum, (c,), nfft, out)
+    assert np.allclose(out, np.fft.rfft(dilated), atol=1e-9)
+
+
+def test_dense_images_stay_within_three_slots():
+    # The sizes and the (2,-1) form of a run_trial at N = 2e5, delta = 0.3:
+    # each call peaks at A's spectrum, the product spectrum and the work
+    # buffer (3 float64 slots per FFT slot), plus the result, the two
+    # dilated member arrays and 64 KiB for ufunc buffers and small objects
+    n = 2 * 10**5
+    a = sample(n, n**-0.3, SamplerSeed(11, 0))
+    images = [(1, 1), (1, -1), (2, -1)]
+    # the first FFT imports numpy.fft; the sizes are checked against the
+    # public kernels before the measured calls
+    sizes = [sumset(a).count, diffset(a).count, form_image(a, LinearForm((2, -1))).count]
+    pairs = sets._SelfPairSums(a, images)
+    assert sets._FFT_BYTES_PER_SLOT >= 3 * 8
+    tracemalloc.start()
+    try:
+        for coeffs, size in zip(images, sizes):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            marks, lo = pairs.pair_sums(coeffs, count=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            nfft = sets._fft_length(marks.size)
+            assert a.count**2 > sets._PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)  # the FFT ran
+            assert peak <= 3 * 8 * nfft + marks.nbytes + 2 * 8 * a.count + 2**16
+            assert np.count_nonzero(marks) == size
+            del marks
+    finally:
+        tracemalloc.stop()
 
 
 @given(
