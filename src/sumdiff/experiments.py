@@ -26,7 +26,7 @@ from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _draw_below, _word_limit, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
-from .sets import _KIND_COEFFS, IntegerSet, LinearForm, _SelfPairSums, _grow_image, _image
+from .sets import KIND_FORMS, IntegerSet, LinearForm, _SelfPairSums, _grow_image, _image
 from .sets import _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
@@ -192,21 +192,21 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     # One plan for every image and histogram, so that they share A's
     # spectrum at each FFT length.  The forms come between the sizes and the
     # histograms, so that no histogram is held during a form's FFT.
-    size_coeffs = [(1, 1), (1, -1)] if spec.sizes or spec.missing else []
-    image_coeffs = size_coeffs + [f.coeffs for f in spec.forms]
+    sized = ["sum", "diff"] if spec.sizes or spec.missing else []
+    image_coeffs = [KIND_FORMS[kind].coeffs for kind in sized] + [f.coeffs for f in spec.forms]
     kinds = ["diff"] * (spec.max_k > 0 or spec.y) + ["sum"] * (spec.max_k > 0)
-    pairs = _SelfPairSums(a, image_coeffs + [_KIND_COEFFS[kind] for kind in kinds])
+    pairs = _SelfPairSums(a, image_coeffs + [KIND_FORMS[kind].coeffs for kind in kinds])
     sizes = [pairs.image_size(coeffs) for coeffs in image_coeffs]
     hists = {kind: pairs.histogram(kind) for kind in kinds}
     del pairs  # its FFT buffers go before the profiles sort the counts
 
     sum_size = diff_size = miss_s = miss_d = None
-    if size_coeffs:
+    if sized:
         sum_size, diff_size = sizes[:2]
     if spec.missing:
         miss_s = total - sum_size
         miss_d = total - diff_size
-    form_sizes = dict(zip(spec.forms, sizes[len(size_coeffs):]))
+    form_sizes = dict(zip(spec.forms, sizes[len(sized):]))
     form_missing = {f: f.weight * n - size for f, size in form_sizes.items()}
 
     xs = xps = ()

@@ -12,17 +12,19 @@ Conventions for a random subset A of [0, N] with inclusion probability p:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .sampling import PFamily, p_of
-from .sets import LinearForm
+from .sets import KIND_FORMS, LinearForm, kind_form
 
-# Below this x the closed forms lose ~u*eps to cancellation, so both
-# ratio functions switch to their truncated alternating series; at the
-# crossover the two branches agree to ~1e-17 absolute.
+# Below this x the closed form of g loses ~eps to cancellation, so g
+# switches to its truncated alternating series; at the crossover the two
+# branches agree to ~1e-17 absolute.  g_form has no series of its own:
+# both of its terms are positive near 0.
 _SERIES_CUTOVER = 1e-3
 _SERIES_TERMS = 12
 
@@ -51,26 +53,14 @@ def g_ratio(x: float) -> float:
     return 2.0 * (math.expm1(-x) + x) / x
 
 
-def _series_partial_g_form(u: int, absv: int, x: float, m: int) -> float:
-    total = 0.0
-    sign = 1.0
-    xk = 1.0
-    for k in range(1, m + 1):
-        xk *= x
-        total += sign * xk * (2 * absv / math.factorial(k + 1) + (u - absv) / math.factorial(k))
-        sign = -sign
-    return total
-
-
 def g_form(u: int, absv: int, x: float) -> float:
-    """(u+|v|) - 2|v|(1-exp(-x))/x - (u-|v|)exp(-x); increasing (0,inf)->(0,u+|v|)."""
+    """(u+|v|) - 2|v|(1-exp(-x))/x - (u-|v|)exp(-x); increasing (0,inf)->(0,u+|v|).
+
+    Computed as |v|*g(x) - (u-|v|)*expm1(-x), so g_form(1, 1, x) is g(x).
+    """
     if not (isinstance(u, int) and isinstance(absv, int)) or u < absv or absv < 1:
         raise ValueError(f"need integers u >= |v| >= 1, got u={u}, |v|={absv}")
-    if x <= 0:
-        raise ValueError("g_form is defined for x > 0")
-    if x < _SERIES_CUTOVER:
-        return _series_partial_g_form(u, absv, x, _SERIES_TERMS)
-    return (u + absv) + 2.0 * absv * math.expm1(-x) / x - (u - absv) * math.exp(-x)
+    return absv * g_ratio(x) - (u - absv) * math.expm1(-x)
 
 
 def alpha(u: int, absv: int) -> Fraction:
@@ -85,28 +75,51 @@ def alpha(u: int, absv: int) -> Fraction:
     return Fraction(3 * u - absv, 6 * u * u)
 
 
+def symmetry_count(form: LinearForm) -> int:
+    """Number of coordinate permutations fixing the coefficient vector."""
+    return math.prod(map(math.factorial, Counter(form.coeffs).values()))
+
+
+def _threshold_ratio(form: LinearForm, c: float) -> float:
+    """|f(A)|/N for a binary form at p = c*N**-0.5: g_{u,|v|}(c^2/(theta*u))."""
+    return g_form(form.u, abs(form.v), c * c / (symmetry_count(form) * form.u))
+
+
+def _form_rule(
+    form: LinearForm, regime: str, n: int, p: float, c: float | None
+) -> tuple[str | None, float | None]:
+    """The per-form prediction: (quantity, value) with theta = symmetry_count(form).
+
+    below: image size (N*p)^k / theta; above: missing count
+    2*theta*prod|c_i| / p^k; at: image size N*g_{u,|v|}(c^2/(theta*u)) for
+    binary forms, unspecified (None, None) for k >= 3.
+    """
+    k, theta = form.arity, symmetry_count(form)
+    if regime == "below":
+        return "image-size", (n * p) ** k / theta
+    if regime == "above":
+        # p*...*p, not p**k: the binary missing counts keep their rounding
+        return "missing-count", 2.0 * theta * math.prod(map(abs, form.coeffs)) / math.prod([p] * k)
+    if k != 2:
+        return None, None
+    return "image-size", _threshold_ratio(form, c) * n
+
+
 def expected_tuple_count(
     n: int, p: float, k: int, kind: str, form: LinearForm | None = None
 ) -> float:
     """Leading-order E[X_k]: expected k-sets of pairs sharing a value.
 
-    sum:  (2/(k+1)!) (p^2/2)^k N^(k+1)
-    diff: (2/(k+1)!) p^(2k)  N^(k+1)
-    form (u, v): u^-k (2|v|/(k+1)! + (u-|v|)/k!) p^(2k) N^(k+1)
+    For the form (u, v) of ``kind`` (sum: (1, 1), diff: (1, -1)) with
+    theta = symmetry_count:
+    (2|v|/(k+1)! + (u-|v|)/k!) / (theta*u)^k * p^(2k) * N^(k+1).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if kind == "sum":
-        return 2.0 / math.factorial(k + 1) * (p * p / 2.0) ** k * float(n) ** (k + 1)
-    if kind == "diff":
-        return 2.0 / math.factorial(k + 1) * p ** (2 * k) * float(n) ** (k + 1)
-    if kind == "form":
-        if form is None or form.arity != 2:
-            raise ValueError("kind='form' requires a binary LinearForm")
-        u, absv = form.u, abs(form.v)
-        coeff = (2 * absv / math.factorial(k + 1) + (u - absv) / math.factorial(k)) / u**k
-        return coeff * p ** (2 * k) * float(n) ** (k + 1)
-    raise ValueError(f"unknown kind {kind!r}")
+    f = kind_form(kind, form)
+    u, absv, theta = f.u, abs(f.v), symmetry_count(f)
+    coeff = (2 * absv / math.factorial(k + 1) + (u - absv) / math.factorial(k)) / (theta * u) ** k
+    return coeff * p ** (2 * k) * float(n) ** (k + 1)
 
 
 @dataclass(frozen=True)
@@ -146,37 +159,27 @@ def asymptotic_bundle(
     forms: tuple[LinearForm, ...] = (),
     regime: str | None = None,
 ) -> PredictionBundle:
-    """Predicted S, D, Sc, Dc and per-form Df, Dfc at (N, family)."""
+    """Predicted S, D, Sc, Dc and per-form Df, Dfc at (N, family).
+
+    S and D are the images of the forms (1, 1) and (1, -1) over 2N+1
+    values; a difference form f spans (u+|v|)N.
+    """
     for f in forms:
         if f.kind != "binary-difference":
             raise ValueError(f"predictions cover binary difference forms only, got {f}")
     regime = _resolve_regime(family, regime)
     p = p_of(family, n)
-    total = 2 * n + 1
-    form_preds: dict[LinearForm, tuple[float, float]] = {}
-    if regime == "below":
-        s = (n * p) ** 2 / 2.0
-        d = (n * p) ** 2
-        bundle = PredictionBundle("below", n, p, s, d, total - s, total - d)
-        for f in forms:
-            df = (n * p) ** 2
-            form_preds[f] = (df, f.weight * n - df)
-    elif regime == "at":
+    c = None
+    if regime == "at":
         c = family.c if family.variant == "power-law" else p * math.sqrt(n)
-        s = g_ratio(c * c / 2.0) * n
-        d = g_ratio(c * c) * n
-        bundle = PredictionBundle("at", n, p, s, d, total - s, total - d, c=c)
-        for f in forms:
-            df = g_form(f.u, abs(f.v), c * c / f.u) * n
-            form_preds[f] = (df, f.weight * n - df)
-    else:
-        sc = 4.0 / (p * p)
-        dc = 2.0 / (p * p)
-        bundle = PredictionBundle("above", n, p, total - sc, total - dc, sc, dc)
-        for f in forms:
-            dfc = 2.0 * f.u * abs(f.v) / (p * p)
-            form_preds[f] = (f.weight * n - dfc, dfc)
-    bundle.forms.update(form_preds)
+
+    def size_and_missing(form: LinearForm, span: int) -> tuple[float, float]:
+        quantity, value = _form_rule(form, regime, n, p, c)
+        return (value, span - value) if quantity == "image-size" else (span - value, value)
+
+    (s, sc), (d, dc) = (size_and_missing(KIND_FORMS[kind], 2 * n + 1) for kind in ("sum", "diff"))
+    bundle = PredictionBundle(regime, n, p, s, d, sc, dc, c=c)
+    bundle.forms.update((f, size_and_missing(f, f.weight * n)) for f in forms)
     return bundle
 
 
@@ -243,17 +246,6 @@ def janson_missing_diffs_bounds(n: int, p: float) -> tuple[float, float]:
     return lower, upper
 
 
-def symmetry_count(form: LinearForm) -> int:
-    """Number of coordinate permutations fixing the coefficient vector."""
-    mult: dict[int, int] = {}
-    for c in form.coeffs:
-        mult[c] = mult.get(c, 0) + 1
-    total = 1
-    for m in mult.values():
-        total *= math.factorial(m)
-    return total
-
-
 @dataclass(frozen=True)
 class ConjecturePrediction:
     """Conjectured k-ary image-size / missing-count scaling at one (N, family).
@@ -279,15 +271,8 @@ def conjecture_prediction(form: LinearForm, n: int, family: PFamily) -> Conjectu
         raise ValueError("conjectured scalings cover k >= 3 only")
     if family.variant != "power-law":
         raise ValueError("the k-ary regimes are dispatched on delta; use a power-law family")
-    theta = symmetry_count(form)
     p = p_of(family, n)
     threshold = Fraction(1, k)
     delta = Fraction(family.delta).limit_denominator(10**9)
-    if delta > threshold:
-        return ConjecturePrediction("below", "image-size", (n * p) ** k / theta, theta)
-    if delta < threshold:
-        prod = 1
-        for c in form.coeffs:
-            prod *= abs(c)
-        return ConjecturePrediction("above", "missing-count", 2.0 * theta * prod / p**k, theta)
-    return ConjecturePrediction("at", None, None, theta)
+    regime = "below" if delta > threshold else ("above" if delta < threshold else "at")
+    return ConjecturePrediction(regime, *_form_rule(form, regime, n, p, None), symmetry_count(form))

@@ -42,11 +42,13 @@ PAIR_BUDGET = 10**10
 # bytes: a quarter of an 8 GB host.
 PAIR_MEMORY_BUDGET = 2**31
 
-# Peak FFT workspace per slot of nfft, on top of the result: a float64
-# buffer (the indicators, then the inverse transform) and two half-length
-# complex spectra, on both the shared-spectrum and the two-indicator path
-# (measured with tracemalloc; see CHANGES.md).
-_FFT_BYTES_PER_SLOT = 24
+# Peak FFT workspace per slot of nfft, on top of the result.  24 bytes of
+# numpy arrays, seen by tracemalloc: a float64 buffer and two half-length
+# complex spectra, on both paths.  17 bytes of pocketfft scratch inside one
+# rfft or irfft, which tracemalloc misses: RSS rose 15.9 bytes per slot once
+# the length's plan existed, 16.2 on the first call at that length (nfft =
+# 2^21 and 3*2^20); the larger is priced, rounded up.  See CHANGES.md.
+_FFT_BYTES_PER_SLOT = 24 + 17
 
 # Rows are blocked so each outer-product chunk stays ~10^7 entries.
 _CHUNK_ENTRIES = 10**7
@@ -63,9 +65,13 @@ class IntegerSet:
     __slots__ = ("lo", "hi", "_members")
 
     def __init__(self, elements: Iterable[int], lo: int, hi: int):
+        lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-        members = np.unique(np.asarray(list(elements), dtype=np.int64))
+        values = np.asarray(list(elements))
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"elements must be integers, got {values[:5].tolist()}")
+        members = np.unique(values.astype(np.int64))
         if members.size and (members[0] < lo or members[-1] > hi):
             bad = members[(members < lo) | (members > hi)]
             raise ValueError(f"elements outside [{lo}, {hi}]: {bad[:5].tolist()}")
@@ -124,6 +130,13 @@ class IntegerSet:
         return f"IntegerSet([{self.lo},{self.hi}] n={self.count} {{{', '.join(map(str, head))}{tail}}})"
 
 
+def _integer(value: object, what: str) -> int:
+    """``value`` as an int; a ValueError unless it is a Python or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_set(elements: Iterable[int], lo: int, hi: int) -> IntegerSet:
     """Set of the distinct ``elements``; every element must lie in [lo, hi]."""
     return IntegerSet(elements, lo, hi)
@@ -141,7 +154,7 @@ class LinearForm:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = tuple(_integer(c, "a coefficient") for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 2:
             raise ValueError("a linear form needs at least two coefficients")
@@ -192,6 +205,21 @@ class LinearForm:
 
     def __str__(self) -> str:
         return self.label()
+
+
+# The histogram kinds "sum" and "diff" are the forms (1, 1) and (1, -1).
+KIND_FORMS = {"sum": LinearForm((1, 1)), "diff": LinearForm((1, -1))}
+
+
+def kind_form(kind: str, form: LinearForm | None = None) -> LinearForm:
+    """The binary form of ``kind``: KIND_FORMS[kind], or ``form`` for kind="form"."""
+    if kind == "form":
+        if form is None or form.arity != 2:
+            raise ValueError("kind='form' requires a binary LinearForm")
+        return form
+    if kind not in KIND_FORMS:
+        raise ValueError(f"unknown kind {kind!r}")
+    return KIND_FORMS[kind]
 
 
 @dataclass(frozen=True)
@@ -313,16 +341,7 @@ class _SelfPairSums:
 
     def histogram(self, kind: str, form: LinearForm | None = None) -> RepHistogram:
         """Representation histogram of A under the given operation."""
-        coeffs = _KIND_COEFFS.get(kind)
-        if kind == "form":
-            if form is None:
-                raise ValueError("kind='form' requires a LinearForm")
-            if form.arity != 2:
-                raise ValueError("histograms are defined for binary forms only")
-            coeffs = form.coeffs
-        elif coeffs is None:
-            raise ValueError(f"unknown histogram kind {kind!r}")
-        counts, lo = self.pair_sums(coeffs, count=True)
+        counts, lo = self.pair_sums(kind_form(kind, form).coeffs, count=True)
         hi = lo + counts.size - 1
         if kind == "sum":
             # ordered pairs count {a1, a2} twice and (a, a) once
@@ -525,9 +544,6 @@ def _indicator_product(
     x[right - (lo - shift)] = 1.0
     product *= np.fft.rfft(x)
     return product, x, 0
-
-
-_KIND_COEFFS = {"sum": (1, 1), "diff": (1, -1)}
 
 
 def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> RepHistogram:

@@ -4,7 +4,7 @@ For forms f = (u1, v1) and g = (u2, v2) the deciding quantities are the
 weights u + |v| (dominant when p decays slower than N**-0.5) and the
 exact rationals alpha(u, |v|) (dominant when p decays faster).  When the
 weight and alpha orderings disagree there is a sharp threshold at
-c = c_{f,g}: the unique positive root of
+c = c_{f,g}, the unique positive root of equal threshold-regime image sizes:
 g_form(u1,|v1|, c^2/u1) = g_form(u2,|v2|, c^2/u2).
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BracketingError
-from .predictions import alpha, g_form
+from .predictions import _threshold_ratio, alpha
 from .sampling import PFamily
 from .sets import LinearForm
 
@@ -43,7 +43,7 @@ def _require_difference_form(form: LinearForm) -> None:
 
 
 def _h(f: LinearForm, g: LinearForm, c: float) -> float:
-    return g_form(f.u, abs(f.v), c * c / f.u) - g_form(g.u, abs(g.v), c * c / g.u)
+    return _threshold_ratio(f, c) - _threshold_ratio(g, c)
 
 
 def classify_pair(f: LinearForm, g: LinearForm) -> DominationReport:
@@ -129,8 +129,9 @@ class RegimeDomination:
 def regime_dominator(f: LinearForm, g: LinearForm, family: PFamily) -> RegimeDomination:
     """Dominating form for a power-law family, dispatched on delta.
 
-    delta < 1/2: larger u+|v| wins, ties broken by larger u.
-    1/2 < delta < 3/5: smaller alpha wins.
+    delta < 1/2: classify_pair's dominator above the threshold scale
+    (larger u+|v|, ties broken by smaller alpha).
+    1/2 < delta < 3/5: its dominator below (smaller alpha).
     delta = 1/2: sign of the threshold-regime comparison at c.
     delta >= 3/5: the binomial model cannot separate the forms.
     """
@@ -146,19 +147,16 @@ def regime_dominator(f: LinearForm, g: LinearForm, family: PFamily) -> RegimeDom
             f"delta={delta:g} >= 3/5: set-size noise swamps the comparison",
             breakdown=True,
         )
-    if delta < 0.5:
-        if f.weight != g.weight:
-            winner = f if f.weight > g.weight else g
-            return RegimeDomination(winner, "above-threshold", "larger u+|v| saturates a wider interval")
-        if f.u != g.u:
-            winner = f if f.u > g.u else g
-            return RegimeDomination(winner, "above-threshold", "equal u+|v|: smaller u|v| misses fewer values")
-        return RegimeDomination(None, "above-threshold", "identical (u, |v|): indistinguishable")
-    if delta > 0.5:
-        af, ag = alpha(f.u, abs(f.v)), alpha(g.u, abs(g.v))
-        if af == ag:
-            return RegimeDomination(None, "between", "identical alpha: indistinguishable")
-        winner = f if af < ag else g
-        return RegimeDomination(winner, "between", "smaller alpha loses fewer values to collisions")
-    winner = dominator_at(f, g, family.c)
-    return RegimeDomination(winner, "at-threshold", f"sign of the ratio-function gap at c={family.c:g}")
+    if delta == 0.5:
+        winner = dominator_at(f, g, family.c)
+        return RegimeDomination(winner, "at-threshold", f"sign of the ratio-function gap at c={family.c:g}")
+    report = classify_pair(f, g)
+    regime, side, why = (
+        ("above-threshold", report.dominator_above, "larger u+|v| saturates a wider interval")
+        if delta < 0.5
+        else ("between", report.dominator_below, "smaller alpha loses fewer values to collisions")
+    )
+    winner = {f.label(): f, g.label(): g}.get(side)  # "same" names neither: a tie
+    if winner is None:
+        why = "identical (u, |v|): indistinguishable"
+    return RegimeDomination(winner, regime, why)

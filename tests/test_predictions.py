@@ -25,6 +25,8 @@ from sumdiff import (
     symmetry_count,
 )
 
+from sumdiff.predictions import _SERIES_CUTOVER
+
 from oracles import subsets
 
 
@@ -90,6 +92,15 @@ def test_g_form_reference_values():
 def test_g_form_reduces_to_g():
     for x in np.logspace(-5, 1.5, 200):
         assert abs(g_form(1, 1, float(x)) - g_ratio(float(x))) < 1e-13
+
+
+def test_g_form_is_g_for_the_sum_and_difference_forms():
+    # g_{1,1} is g bit for bit, on both sides of g's series cutover
+    cut = _SERIES_CUTOVER
+    grid = [cut * 2.0**e for e in range(-30, 31)] + [math.nextafter(cut, 0.0), cut]
+    grid += [float(x) for x in np.logspace(-12, 2.5, 300)]
+    for x in grid:
+        assert g_form(1, 1, x) == g_ratio(x), x
 
 
 def test_g_form_validation():
@@ -163,6 +174,28 @@ def test_expected_tuple_count_leading_order():
         expected_tuple_count(n, p, 1, "form")
 
 
+def _tuple_count_by_kind(n, p, k, kind, form):
+    # the three leading-order formulas, one per kind
+    if kind == "sum":
+        return 2.0 / math.factorial(k + 1) * (p * p / 2.0) ** k * float(n) ** (k + 1)
+    if kind == "diff":
+        return 2.0 / math.factorial(k + 1) * p ** (2 * k) * float(n) ** (k + 1)
+    u, absv = form.u, abs(form.v)
+    coeff = (2 * absv / math.factorial(k + 1) + (u - absv) / math.factorial(k)) / u**k
+    return coeff * p ** (2 * k) * float(n) ** (k + 1)
+
+
+@pytest.mark.parametrize(
+    "kind,form",
+    [("sum", None), ("diff", None)] + [("form", LinearForm(c)) for c in ((2, -1), (3, 2), (7, -5))],
+)
+def test_expected_tuple_count_is_one_rule_for_every_kind(kind, form):
+    for k in range(1, 9):
+        for n, p in ((77, 0.3), (1000, 0.01), (10**6, 0.001)):
+            by_kind = _tuple_count_by_kind(n, p, k, kind, form)
+            assert expected_tuple_count(n, p, k, kind, form) == pytest.approx(by_kind, rel=1e-15)
+
+
 @pytest.mark.parametrize(
     "kind,form",
     [("sum", None), ("diff", None), ("form", LinearForm((2, -1))), ("form", LinearForm((3, 2)))],
@@ -221,6 +254,32 @@ def test_bundle_form_prediction_threshold_regime():
     bundle = asymptotic_bundle(10**6, PFamily.power_law(2.0, 0.5), (f,))
     df, _ = bundle.form_prediction(f)
     assert df == pytest.approx(g_form(2, 1, 4.0 / 2.0) * 10**6)
+
+
+# S, D, Sc, Dc as float.hex, recorded before the per-form rule replaced the
+# per-regime formulas: the rule reproduces them bit for bit.
+PINNED_BUNDLES = [
+    (PFamily.power_law(1.0, 0.3), None, 10**6,
+     ("0x1.e464cb692d301p+20", "0x1.e6566db496981p+20", "0x1.f1a24b6967f49p+13", "0x1.f1a24b6967f49p+12")),
+    (PFamily.power_law(1.7, 0.7), None, 10**6,
+     ("0x1.678a60b9988ccp+12", "0x1.678a60b9988ccp+13", "0x1.e6e0859f46677p+20", "0x1.e578fb3e8cceep+20")),
+    (PFamily.power_law(1.0, 0.5), None, 10**6,
+     ("0x1.a022a8e2ed595p+18", "0x1.6741dc3c27253p+19", "0x1.803f65c744a9bp+20", "0x1.34a721e1ec6d6p+20")),
+    (PFamily.power_law(2.3, 0.5), None, 12345,
+     ("0x1.f491b34b400bbp+13", "0x1.3938f03c4fa0dp+14", "0x1.0f064cb4bff45p+13", "0x1.224c3f0ec17ccp+12")),
+    (PFamily.explicit(0.0123), "below", 54321,
+     ("0x1.b3f589a69738ep+17", "0x1.b3f589a69738ep+18", "-0x1.bf88134d2e71cp+16", "-0x1.49dcc9a69738ep+18")),
+    (PFamily.explicit(0.0123), "at", 54321,
+     ("0x1.42cce80f1ca7ap+16", "0x1.74c1ebbd9972ap+16", "0x1.96585fc38d618p+14", "0x1.9d08a213346b0p+13")),
+    (PFamily.explicit(0.0123), "above", 54321,
+     ("0x1.411bb6124f059p+16", "0x1.74bf5b092782cp+16", "0x1.9d1d27b6c3e9cp+14", "0x1.9d1d27b6c3e9cp+13")),
+]
+
+
+@pytest.mark.parametrize("family,regime,n,pinned", PINNED_BUNDLES)
+def test_bundle_sizes_pinned_bit_for_bit(family, regime, n, pinned):
+    b = asymptotic_bundle(n, family, (LinearForm((2, -1)),), regime=regime)
+    assert tuple(float(x).hex() for x in (b.S_pred, b.D_pred, b.Sc_pred, b.Dc_pred)) == pinned
 
 
 def test_bundle_explicit_family_requires_regime():

@@ -75,6 +75,25 @@ def test_make_set_rejects_bad_interval():
         make_set([], 3, 2)
 
 
+@pytest.mark.parametrize(
+    "elements,lo,hi",
+    [([0.5, 2.7], 0, 3), (["3"], 0, 3), ([1, 2.0], 0, 3), ([1], 0.0, 3), ([1], 0, 3.5), ([], "0", 3)],
+)
+def test_make_set_rejects_non_integers(elements, lo, hi):
+    # neither truncated nor parsed
+    with pytest.raises(ValueError, match="integer"):
+        make_set(elements, lo, hi)
+    with pytest.raises(ValueError, match="integer"):
+        IntegerSet(elements, lo, hi)
+
+
+def test_make_set_accepts_numpy_integers():
+    a = make_set(np.array([3, 1], dtype=np.int32), np.int64(0), np.uint8(4))
+    assert list(a) == [1, 3] and (a.lo, a.hi) == (0, 4)
+    assert type(a.lo) is int and type(a.hi) is int
+    assert IntegerSet([], 0, 7).count == 0
+
+
 def test_membership_and_equality():
     a = make_set([1, 5, 9], 0, 10)
     assert 5 in a and 4 not in a and 11 not in a
@@ -106,6 +125,17 @@ def test_form_kinds():
 def test_form_validation_rejects(coeffs):
     with pytest.raises(ValueError):
         LinearForm(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", [(2.5, -1), (2.0, -1), ("2", "-1"), (1, 1, 1.5)])
+def test_form_rejects_non_integer_coefficients(coeffs):
+    with pytest.raises(ValueError, match="integer"):
+        LinearForm(coeffs)
+
+
+def test_form_accepts_numpy_integer_coefficients():
+    f = LinearForm((np.int64(2), np.int32(-1)))
+    assert f == LinearForm((2, -1)) and all(type(c) is int for c in f.coeffs)
 
 
 def test_form_weight_and_label():
@@ -374,8 +404,8 @@ def test_fft_fallback_is_priced(monkeypatch):
 def test_memory_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(sets, "PAIR_MEMORY_BUDGET", 2**20)
     dense = make_set(range(200_001), 0, 200_001)
-    # the FFT branch: an 8-byte count per value plus 24 bytes per FFT slot
-    with pytest.raises(ResourceBudgetError, match="FFT of length 524288 needs 15 MiB"):
+    # the FFT branch: an 8-byte count per value plus 41 bytes per FFT slot
+    with pytest.raises(ResourceBudgetError, match="FFT of length 524288 needs 24 MiB"):
         rep_histogram(dense, "diff")
     # the direct branch: one mark per value of a 2e6-wide interval
     with pytest.raises(ResourceBudgetError, match="2 x 2 direct pairs needs 2 MiB"):
@@ -385,7 +415,7 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
 
 def test_memory_budget_refuses_largest_priced_fft():
     # the widest FFT within the pair budget (nfft = 3*2^27, cost 9.2e9)
-    # would need ~12.9 GB; it is refused without allocating
+    # would need ~19.7 GB; it is refused without allocating
     a = IntegerSet.from_members(np.arange(0, 2 * 10**8, 2000), 0, 2 * 10**8)
     refuses_within_16_mib(lambda: rep_histogram(a, "diff"))
     refuses_within_16_mib(lambda: sumset(make_set([0, 3 * 10**9], 0, 3 * 10**9)))

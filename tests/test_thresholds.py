@@ -1,5 +1,5 @@
 import math
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -163,6 +163,30 @@ def test_regime_at_threshold_uses_c():
 def test_regime_weight_tie_breaks_by_u():
     out = regime_dominator(LinearForm((3, -2)), LinearForm((4, -1)), PFamily.power_law(1.0, 0.3))
     assert out.dominator == LinearForm((4, -1))
+
+
+def test_regime_dominator_follows_weight_and_alpha_rules():
+    # every ordered pair of difference forms with u <= 8: above the threshold
+    # scale the larger u+|v| wins (ties: the larger u), between it and
+    # N^-3/5 the smaller alpha; classify_pair names the same winners
+    forms = [
+        LinearForm((u, s * av))
+        for u in range(1, 9)
+        for av in range(1, u + 1)
+        for s in (1, -1)
+        if math.gcd(u, av) == 1 and (u, s * av) != (1, 1)
+    ]
+    assert len(forms) == 43
+    for f, g in product(forms, repeat=2):
+        key_above = (f.weight - g.weight, f.u - g.u)
+        above = None if key_above == (0, 0) else (f if key_above > (0, 0) else g)
+        af, ag = alpha(f.u, abs(f.v)), alpha(g.u, abs(g.v))
+        below = None if af == ag else (f if af < ag else g)
+        assert regime_dominator(f, g, PFamily.power_law(1.0, 0.3)).dominator == above
+        assert regime_dominator(f, g, PFamily.power_law(1.0, 0.55)).dominator == below
+        report = classify_pair(f, g)
+        assert report.dominator_above == (above.label() if above else "same")
+        assert report.dominator_below == (below.label() if below else "same")
 
 
 def test_regime_requires_power_law():
