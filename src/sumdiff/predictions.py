@@ -110,14 +110,14 @@ def expected_tuple_count(
 ) -> float:
     """Leading-order E[X_k]: expected k-sets of pairs sharing a value.
 
-    For the form (u, v) of ``kind`` (sum: (1, 1), diff: (1, -1)) with
-    theta = symmetry_count:
-    (2|v|/(k+1)! + (u-|v|)/k!) / (theta*u)^k * p^(2k) * N^(k+1).
+    For the form (u, v) of ``kind`` (sum: (1, 1), diff: (1, -1)):
+    (2|v|/(k+1)! + (u-|v|)/k!) / (theta*u)^k * p^(2k) * N^(k+1), where
+    theta = 2 for "sum", whose histogram counts unordered pairs, else 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     f = kind_form(kind, form)
-    u, absv, theta = f.u, abs(f.v), symmetry_count(f)
+    u, absv, theta = f.u, abs(f.v), 2 if kind == "sum" else 1
     coeff = (2 * absv / math.factorial(k + 1) + (u - absv) / math.factorial(k)) / (theta * u) ** k
     return coeff * p ** (2 * k) * float(n) ** (k + 1)
 

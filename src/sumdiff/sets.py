@@ -68,10 +68,11 @@ class IntegerSet:
         lo, hi = _integer(lo, "lo"), _integer(hi, "hi")
         if lo > hi:
             raise ValueError(f"empty interval: lo={lo} > hi={hi}")
-        values = np.asarray(list(elements))
-        if values.size and values.dtype.kind not in "iu":
-            raise ValueError(f"elements must be integers, got {values[:5].tolist()}")
-        members = np.unique(values.astype(np.int64))
+        values = [_integer(x, "an element") for x in elements]
+        try:
+            members = np.unique(np.array(values, dtype=np.int64))
+        except OverflowError:
+            raise ValueError(f"elements must fit in int64, got {max(values, key=abs)}") from None
         if members.size and (members[0] < lo or members[-1] > hi):
             bad = members[(members < lo) | (members > hi)]
             raise ValueError(f"elements outside [{lo}, {hi}]: {bad[:5].tolist()}")
@@ -131,14 +132,14 @@ class IntegerSet:
 
 
 def _integer(value: object, what: str) -> int:
-    """``value`` as an int; a ValueError unless it is a Python or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """``value`` as an int; a ValueError unless it is a Python or numpy integer (not a bool)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
 
 
 def make_set(elements: Iterable[int], lo: int, hi: int) -> IntegerSet:
-    """Set of the distinct ``elements``; every element must lie in [lo, hi]."""
+    """Set of the distinct ``elements``: int64-range integers (not bools) in [lo, hi]."""
     return IntegerSet(elements, lo, hi)
 
 

@@ -46,24 +46,25 @@ def _h(f: LinearForm, g: LinearForm, c: float) -> float:
     return _threshold_ratio(f, c) - _threshold_ratio(g, c)
 
 
+def _dominators(f: LinearForm, g: LinearForm) -> tuple[str, LinearForm | None, LinearForm | None]:
+    """The case and the dominating forms below and above the threshold scale:
+    smaller alpha below; larger u+|v| above, ties to smaller alpha."""
+    _require_difference_form(f)
+    _require_difference_form(g)
+    if (f.u, abs(f.v)) == (g.u, abs(g.v)):
+        return "incomparable", None, None
+    below = min(f, g, key=lambda h: alpha(h.u, abs(h.v)))
+    above = max(f, g, key=lambda h: (h.weight, -alpha(h.u, abs(h.v))))
+    return "case-i" if below == above else "case-ii", below, above
+
+
 def classify_pair(f: LinearForm, g: LinearForm) -> DominationReport:
     """Case-i (one form dominates throughout), case-ii (sharp threshold),
     or incomparable (identical (u, |v|): all estimates coincide)."""
-    _require_difference_form(f)
-    _require_difference_form(g)
-    wf, wg = f.weight, g.weight
-    af, ag = alpha(f.u, abs(f.v)), alpha(g.u, abs(g.v))
-    if (f.u, abs(f.v)) == (g.u, abs(g.v)):
-        return DominationReport("incomparable", f, g, "same", "same", None)
-    if wf >= wg and af < ag:
-        return DominationReport("case-i", f, g, f.label(), f.label(), None)
-    if wg >= wf and ag < af:
-        return DominationReport("case-i", f, g, g.label(), g.label(), None)
-    if wf > wg and af > ag:
-        return DominationReport("case-ii", f, g, g.label(), f.label(), solve_threshold(f, g))
-    if wg > wf and ag > af:
-        return DominationReport("case-ii", f, g, f.label(), g.label(), solve_threshold(f, g))
-    raise AssertionError("unreachable: equal alpha implies equal (u, |v|)")
+    case, below, above = _dominators(f, g)
+    c_threshold = solve_threshold(f, g) if case == "case-ii" else None
+    below_label, above_label = (h.label() if h else "same" for h in (below, above))
+    return DominationReport(case, f, g, below_label, above_label, c_threshold)
 
 
 def solve_threshold(f: LinearForm, g: LinearForm) -> float:
@@ -129,9 +130,9 @@ class RegimeDomination:
 def regime_dominator(f: LinearForm, g: LinearForm, family: PFamily) -> RegimeDomination:
     """Dominating form for a power-law family, dispatched on delta.
 
-    delta < 1/2: classify_pair's dominator above the threshold scale
-    (larger u+|v|, ties broken by smaller alpha).
-    1/2 < delta < 3/5: its dominator below (smaller alpha).
+    delta < 1/2: the dominator above the threshold scale (larger u+|v|,
+    ties broken by smaller alpha), as in classify_pair.
+    1/2 < delta < 3/5: the dominator below (smaller alpha).
     delta = 1/2: sign of the threshold-regime comparison at c.
     delta >= 3/5: the binomial model cannot separate the forms.
     """
@@ -150,13 +151,11 @@ def regime_dominator(f: LinearForm, g: LinearForm, family: PFamily) -> RegimeDom
     if delta == 0.5:
         winner = dominator_at(f, g, family.c)
         return RegimeDomination(winner, "at-threshold", f"sign of the ratio-function gap at c={family.c:g}")
-    report = classify_pair(f, g)
-    regime, side, why = (
-        ("above-threshold", report.dominator_above, "larger u+|v| saturates a wider interval")
-        if delta < 0.5
-        else ("between", report.dominator_below, "smaller alpha loses fewer values to collisions")
-    )
-    winner = {f.label(): f, g.label(): g}.get(side)  # "same" names neither: a tie
-    if winner is None:
-        why = "identical (u, |v|): indistinguishable"
-    return RegimeDomination(winner, regime, why)
+    _, below, above = _dominators(f, g)
+    if delta > 0.5:
+        winner, regime, why = below, "between", "smaller alpha loses fewer values to collisions"
+    elif f.weight != g.weight:
+        winner, regime, why = above, "above-threshold", "larger u+|v| saturates a wider interval"
+    else:
+        winner, regime, why = above, "above-threshold", "equal u+|v|: smaller u|v| misses fewer values"
+    return RegimeDomination(winner, regime, why if winner else "identical (u, |v|): indistinguishable")

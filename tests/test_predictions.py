@@ -168,6 +168,8 @@ def test_expected_tuple_count_leading_order():
     assert expected_tuple_count(n, p, 2, "form", LinearForm((2, -1))) == pytest.approx(
         (5 / 24) * p**4 * n**3
     )
+    # the form (1, 1) counts ordered pairs, twice the unordered "sum" pairs
+    assert expected_tuple_count(n, p, 1, "form", LinearForm((1, 1))) == pytest.approx(n**2 * p**2)
     with pytest.raises(ValueError):
         expected_tuple_count(n, p, 0, "sum")
     with pytest.raises(ValueError):
@@ -187,7 +189,7 @@ def _tuple_count_by_kind(n, p, k, kind, form):
 
 @pytest.mark.parametrize(
     "kind,form",
-    [("sum", None), ("diff", None)] + [("form", LinearForm(c)) for c in ((2, -1), (3, 2), (7, -5))],
+    [("sum", None), ("diff", None)] + [("form", LinearForm(c)) for c in ((1, 1), (2, -1), (3, 2), (7, -5))],
 )
 def test_expected_tuple_count_is_one_rule_for_every_kind(kind, form):
     for k in range(1, 9):
@@ -198,7 +200,13 @@ def test_expected_tuple_count_is_one_rule_for_every_kind(kind, form):
 
 @pytest.mark.parametrize(
     "kind,form",
-    [("sum", None), ("diff", None), ("form", LinearForm((2, -1))), ("form", LinearForm((3, 2)))],
+    [
+        ("sum", None),
+        ("diff", None),
+        ("form", LinearForm((1, 1))),
+        ("form", LinearForm((2, -1))),
+        ("form", LinearForm((3, 2))),
+    ],
 )
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_expected_tuple_count_against_full_interval_enumeration(kind, form, k):

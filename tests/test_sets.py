@@ -77,14 +77,24 @@ def test_make_set_rejects_bad_interval():
 
 @pytest.mark.parametrize(
     "elements,lo,hi",
-    [([0.5, 2.7], 0, 3), (["3"], 0, 3), ([1, 2.0], 0, 3), ([1], 0.0, 3), ([1], 0, 3.5), ([], "0", 3)],
+    [
+        ([0.5, 2.7], 0, 3), (["3"], 0, 3), ([1, 2.0], 0, 3), ([1], 0.0, 3), ([1], 0, 3.5), ([], "0", 3),
+        ([True, 1], 0, 3), (np.array([True]), 0, 3), ([1], False, 3), ([1], 0, True),
+    ],
 )
 def test_make_set_rejects_non_integers(elements, lo, hi):
-    # neither truncated nor parsed
+    # neither truncated nor parsed; a bool is not an integer here
     with pytest.raises(ValueError, match="integer"):
         make_set(elements, lo, hi)
     with pytest.raises(ValueError, match="integer"):
         IntegerSet(elements, lo, hi)
+
+
+@pytest.mark.parametrize("elements", [[2**63], [1, -(2**70)], [np.uint64(2**63)]])
+def test_make_set_rejects_elements_beyond_int64(elements):
+    # integers, but not representable: refused, not wrapped
+    with pytest.raises(ValueError, match="fit in int64"):
+        make_set(elements, 0, 3)
 
 
 def test_make_set_accepts_numpy_integers():
@@ -127,7 +137,7 @@ def test_form_validation_rejects(coeffs):
         LinearForm(coeffs)
 
 
-@pytest.mark.parametrize("coeffs", [(2.5, -1), (2.0, -1), ("2", "-1"), (1, 1, 1.5)])
+@pytest.mark.parametrize("coeffs", [(2.5, -1), (2.0, -1), ("2", "-1"), (1, 1, 1.5), (True, -1)])
 def test_form_rejects_non_integer_coefficients(coeffs):
     with pytest.raises(ValueError, match="integer"):
         LinearForm(coeffs)

@@ -163,6 +163,15 @@ def test_regime_at_threshold_uses_c():
 def test_regime_weight_tie_breaks_by_u():
     out = regime_dominator(LinearForm((3, -2)), LinearForm((4, -1)), PFamily.power_law(1.0, 0.3))
     assert out.dominator == LinearForm((4, -1))
+    assert out.rationale.startswith("equal u+|v|")
+
+
+def test_regime_rationales():
+    family = PFamily.power_law(1.0, 0.3)
+    assert "wider interval" in regime_dominator(F43, G51, family).rationale
+    assert "alpha" in regime_dominator(F43, G51, PFamily.power_law(1.0, 0.55)).rationale
+    same = regime_dominator(LinearForm((2, -1)), LinearForm((2, 1)), family)
+    assert same.dominator is None and same.rationale.startswith("identical")
 
 
 def test_regime_dominator_follows_weight_and_alpha_rules():
