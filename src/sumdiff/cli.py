@@ -23,11 +23,12 @@ from .experiments import (
     records_to_csv,
     results_to_json,
     run_experiment,
+    run_trial,
     verify_bounds,
 )
 from .predictions import asymptotic_bundle
-from .sampling import PFamily, SamplerSeed, p_of, sample
-from .sets import LinearForm, _image_size, classify
+from .sampling import PFamily
+from .sets import LinearForm, _domination_label
 from .thresholds import classify_pair
 
 EXIT_OK = 0
@@ -93,17 +94,16 @@ def build_parser() -> _Parser:
     ep.add_argument("--n", type=int, required=True)
 
     wp = sub.add_parser("sweep", help="Monte Carlo sweep over N values")
-    wp.add_argument("--config", help="JSON config file (overrides the flags below)")
-    wp.add_argument("--n", type=int, action="append", default=[])
+    wp.add_argument("--config", help="JSON config file (instead of the flags below)")
+    wp.add_argument("--n", type=int, action="append")
     _add_family_flags(wp)
-    wp.add_argument("--trials", type=int, default=100)
-    wp.add_argument("--seed", type=int, default=0)
-    wp.add_argument("--threads", default="auto")
-    wp.add_argument("--out", choices=("csv", "json"), default="csv")
+    wp.add_argument("--trials", type=int)
+    wp.add_argument("--seed", type=int)
+    wp.add_argument("--threads")
+    wp.add_argument("--out", choices=("csv", "json"))
     wp.add_argument("--output-path", help="output file (default: stdout)")
-    wp.add_argument("--stats", default="sizes,missing",
-                    help="comma list from sizes, missing, xk:K, y (forms via --form)")
-    wp.add_argument("--form", action="append", type=_parse_form, default=[])
+    wp.add_argument("--stats", help="comma list from sizes, missing, xk:K, y (forms via --form)")
+    wp.add_argument("--form", action="append", type=_parse_form)
 
     cr = sub.add_parser("crossover",
                         help="empirical domination frequencies across a c grid")
@@ -127,19 +127,17 @@ def build_parser() -> _Parser:
 
 
 def _cmd_sample(args) -> int:
-    family = _family_from(args)
-    p = p_of(family, args.n)
-    a = sample(args.n, p, SamplerSeed(args.seed, args.trial_index))
-    result = classify(a)
-    print(f"N={args.n} p={p:.17g} seed={args.seed} trial={args.trial_index}")
-    print(f"set_size={a.count}")
-    print(f"sumset_size={result.sumset_size} missing_sums={result.missing_sums}")
-    print(f"diffset_size={result.diffset_size} missing_diffs={result.missing_diffs}")
-    print(f"classification={result.label}")
+    spec = StatisticsSpec(forms=tuple(args.form))
+    config = ExperimentConfig((args.n,), _family_from(args), 1, args.seed, spec)
+    r = run_trial(config, args.n, args.trial_index)
+    print(f"N={args.n} p={r.p:.17g} seed={args.seed} trial={args.trial_index}")
+    print(f"set_size={r.set_size}")
+    print(f"sumset_size={r.sumset_size} missing_sums={r.missing_sums}")
+    print(f"diffset_size={r.diffset_size} missing_diffs={r.missing_diffs}")
+    print(f"classification={_domination_label(r.sumset_size, r.diffset_size)}")
     for f in args.form:
-        size = _image_size(a, f.coeffs)
         stem = form_column_stem(f)
-        print(f"{stem}_size={size} {stem}_missing={f.weight * args.n - size}")
+        print(f"{stem}_size={r.form_sizes[f]} {stem}_missing={r.form_missing[f]}")
     return EXIT_OK
 
 
@@ -208,10 +206,20 @@ def _threads_from(args) -> int | str:
     return _int_flag(args.threads, "--threads", " or 'auto'")
 
 
+# The sweep flags that --config replaces, and their defaults without it.  The
+# parser leaves them None, so that one given with --config is seen.
+_SWEEP_DEFAULTS = {"n": [], "p": None, "c": None, "delta": None, "trials": 100, "seed": 0,
+                   "threads": "auto", "out": "csv", "stats": "sizes,missing", "form": []}
+
+
 def _cmd_sweep(args) -> int:
+    given = [name for name in _SWEEP_DEFAULTS if getattr(args, name) is not None]
     if args.config:
+        if given:
+            raise ValueError(f"--config replaces the other sweep flags, got --{' --'.join(given)}")
         config = load_config(args.config)
     else:
+        vars(args).update((name, v) for name, v in _SWEEP_DEFAULTS.items() if name not in given)
         if not args.n:
             raise ValueError("sweep needs --config or at least one --n")
         config = ExperimentConfig(

@@ -26,7 +26,7 @@ from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _draw_below, _word_limit, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
-from .sets import KIND_FORMS, IntegerSet, LinearForm, _SelfPairSums, _grow_image, _image
+from .sets import KIND_FORMS, IntegerSet, LinearForm, _grow_image, _histogram, _image, _self_pair_sums
 from .sets import _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
@@ -94,6 +94,7 @@ _KINDS: dict[str, Callable[[Any], bool]] = {
     "an integer": lambda v: type(v) is int,
     "an integer or 'auto'": lambda v: type(v) is int or v == "auto",
     "a number": lambda v: type(v) in (int, float),
+    "a string": lambda v: type(v) is str,
     "an object": lambda v: type(v) is dict,
     "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
     "a list of forms": lambda v: type(v) is list and all(map(_KINDS["a list of integers"], v)),
@@ -115,7 +116,7 @@ def _field(obj: dict, key: str, kind: str, where: str, default: Any = None) -> A
 def _family_from_json(obj: dict) -> PFamily:
     _reject_unknown(obj, {"variant", "p", "c", "delta"}, "family")
     numbers = {k: float(_field(obj, k, "a number", "family")) for k in obj if k != "variant"}
-    return PFamily(obj.get("variant"), **numbers)
+    return PFamily(_field(obj, "variant", "a string", "family"), **numbers)
 
 
 def _statistics_from_json(obj: dict) -> StatisticsSpec:
@@ -189,16 +190,16 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     spec = config.statistics
     total = 2 * n + 1
 
-    # One plan for every image and histogram, so that they share A's
-    # spectrum at each FFT length.  The forms come between the sizes and the
+    # One call for every image and histogram, so that they share A's spectrum
+    # at each FFT length.  The forms come between the sizes and the
     # histograms, so that no histogram is held during a form's FFT.
     sized = ["sum", "diff"] if spec.sizes or spec.missing else []
     image_coeffs = [KIND_FORMS[kind].coeffs for kind in sized] + [f.coeffs for f in spec.forms]
     kinds = ["diff"] * (spec.max_k > 0 or spec.y) + ["sum"] * (spec.max_k > 0)
-    pairs = _SelfPairSums(a, image_coeffs + [KIND_FORMS[kind].coeffs for kind in kinds])
-    sizes = [pairs.image_size(coeffs) for coeffs in image_coeffs]
-    hists = {kind: pairs.histogram(kind) for kind in kinds}
-    del pairs  # its FFT buffers go before the profiles sort the counts
+    requests = [(c, False) for c in image_coeffs] + [(KIND_FORMS[k].coeffs, True) for k in kinds]
+    results = _self_pair_sums(a, requests)
+    sizes = [int(np.count_nonzero(next(results)[0])) for _ in image_coeffs]
+    hists = {kind: _histogram(a, kind, *next(results)) for kind in kinds}
 
     sum_size = diff_size = miss_s = miss_d = None
     if sized:

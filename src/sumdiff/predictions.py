@@ -21,12 +21,12 @@ import numpy as np
 from .sampling import PFamily, p_of
 from .sets import KIND_FORMS, LinearForm, kind_form
 
-# Below this x the closed form of g loses ~eps to cancellation, so g
-# switches to its truncated alternating series; at the crossover the two
-# branches agree to ~1e-17 absolute.  g_form has no series of its own:
-# both of its terms are positive near 0.
-_SERIES_CUTOVER = 1e-3
-_SERIES_TERMS = 12
+# The closed form of g loses about 2*eps/x (relative) to cancellation, so
+# below this x g switches to its alternating series, whose omitted terms are
+# below 1e-20; g is then within 7e-16 (relative) of exact on [1e-8, 316].
+# g_form has no series of its own: both of its terms are positive near 0.
+_SERIES_CUTOVER = 0.5
+_SERIES_TERMS = 16
 
 REGIMES = ("below", "at", "above")
 
@@ -175,6 +175,9 @@ def asymptotic_bundle(
 
     def size_and_missing(form: LinearForm, span: int) -> tuple[float, float]:
         quantity, value = _form_rule(form, regime, n, p, c)
+        if family.variant == "explicit" and not 0 <= value <= span:  # its regime is declared
+            raise ValueError(f"declared regime {regime!r} contradicts N*p^2 = {n * p * p:.6g}: it "
+                             f"predicts {quantity} {value:.6g} for {form}, outside [0, {span}]")
         return (value, span - value) if quantity == "image-size" else (span - value, value)
 
     (s, sc), (d, dc) = (size_and_missing(KIND_FORMS[kind], 2 * n + 1) for kind in ("sum", "diff"))

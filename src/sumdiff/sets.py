@@ -15,9 +15,10 @@ rfft of A's indicator, taken once per FFT length: the pair sums under
 (u, v) are the inverse transform of X(u*k) * X(v*k), and the spectrum of
 A dilated by c is X(c*k mod nfft), read off X by strided slices.  So the
 sum set, the difference set and the (2,-1) image of one large set take 5
-transforms, not 9.  k-ary folds and grown images convolve two indicator
-vectors instead; both kinds of product end in the same inverse transform
-and exactness check.
+transforms, not 9.  A caller asks for all of them in one call, whose
+ordered list of requests the sharing follows.  k-ary folds and grown
+images convolve two indicator vectors instead; both kinds of product end
+in the same inverse transform and exactness check.
 
 All operations are pure: values never mutate after construction.
 """
@@ -25,11 +26,10 @@ All operations are pure: values never mutate after construction.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from math import gcd
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -276,11 +276,6 @@ def form_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
     return IntegerSet.from_bool(*_image(a, form.coeffs))
 
 
-def _image_size(a: IntegerSet, coeffs: tuple[int, ...]) -> int:
-    """The size of the image of A under ``coeffs``, without building its members."""
-    return _SelfPairSums(a).image_size(coeffs)
-
-
 def _image_interval(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[int, int]:
     lo = sum(min(c * a.lo, c * a.hi) for c in coeffs)
     hi = sum(max(c * a.lo, c * a.hi) for c in coeffs)
@@ -289,82 +284,61 @@ def _image_interval(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[int, int]:
 
 def _image(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[np.ndarray, int]:
     """The image's marks over its interval, and the interval's lo."""
-    return _SelfPairSums(a).image(coeffs)
+    return next(_self_pair_sums(a, [(coeffs, False)]))
 
 
-class _SelfPairSums:
-    """The images and representation histograms of one set A.
+def _self_pair_sums(
+    a: IntegerSet, requests: Sequence[tuple[tuple[int, ...], bool]]
+) -> Iterator[tuple[np.ndarray, int]]:
+    """For each request (coeffs, count) in turn, the pair sums of A under
+    ``coeffs`` over their image interval, and its lo: ordered-pair counts if
+    ``count`` (binary ``coeffs`` only), else marks.  Each is yielded before
+    the next request runs.
 
-    The binary ones share A's spectrum X at each FFT length, and reuse its
-    arrays: X, a product spectrum and a float64 work buffer (the indicator,
-    then the inverse transform).  ``planned`` lists the coefficients of the
-    calls to come; X is kept after a product only while a planned product
-    at its length remains, so that the last one's inverse transform runs
-    without it.
+    The binary requests share A's spectrum X at each FFT length and reuse
+    its arrays: X, a product spectrum and a float64 work buffer (the
+    indicator, then the inverse transform).  X is kept after a product only
+    while the next binary request has the same length, so that the last
+    one's inverse transform runs without it.
     """
+    members = a.members()
+    intervals = [_image_interval(a, coeffs) for coeffs, _ in requests]
+    lengths = [_fft_length(hi - lo + 1) for (c, _), (lo, hi) in zip(requests, intervals) if len(c) == 2]
+    keeps = iter([n == after for n, after in zip(lengths, lengths[1:] + [0])])
+    held: dict = {}  # nfft: (X, product, work) while the next binary request has this nfft
 
-    def __init__(self, a: IntegerSet, planned: Iterable[tuple[int, ...]] = ()):
-        self.a = a
-        intervals = (_image_interval(a, c) for c in planned if len(c) == 2)
-        self._uses = Counter(_fft_length(hi - lo + 1) for lo, hi in intervals)
-        self._nfft = 0
-        self._buffers: tuple[np.ndarray, ...] = ()
-
-    def pair_sums(self, coeffs: tuple[int, int], count: bool) -> tuple[np.ndarray, int]:
-        """_pair_sums of u*A and v*A over the image interval, and its lo."""
-        a, (u, v) = self.a, coeffs
-        lo, hi = _image_interval(a, coeffs)
-        # The dilated indicators convolve u*a1 + v*a2 to the index
-        # u*(a1 - a.lo) + v*(a2 - a.lo) mod nfft, so lo - (u+v)*a.lo holds lo.
-        spectrum = partial(self._product, coeffs, lo - (u + v) * a.lo)
-        members = a.members()
-        return _pair_sums(u * members, v * members, lo, hi, count, None, spectrum), lo
-
-    def image(self, coeffs: tuple[int, ...]) -> tuple[np.ndarray, int]:
-        """The marks of A's image under ``coeffs`` over its interval, and the
-        interval's lo."""
-        if len(coeffs) == 2:
-            return self.pair_sums(coeffs, count=False)
-        # Fold one coefficient in at a time: the image of (c1, ..., cj) is the
-        # support of the pair sums of the image of (c1, ..., c(j-1)) and cj * A.
-        a = self.a
-        members = a.members()
-        image = coeffs[0] * members
-        for j in range(2, len(coeffs)):
-            lo, hi = _image_interval(a, coeffs[:j])
-            marks = _pair_sums(image, coeffs[j - 1] * members, lo, hi, count=False)
-            image = np.flatnonzero(marks) + lo
-        lo, hi = _image_interval(a, coeffs)
-        return _pair_sums(image, coeffs[-1] * members, lo, hi, count=False), lo
-
-    def image_size(self, coeffs: tuple[int, ...]) -> int:
-        return int(np.count_nonzero(self.image(coeffs)[0]))
-
-    def histogram(self, kind: str, form: LinearForm | None = None) -> RepHistogram:
-        """Representation histogram of A under the given operation."""
-        counts, lo = self.pair_sums(kind_form(kind, form).coeffs, count=True)
-        hi = lo + counts.size - 1
-        if kind == "sum":
-            # ordered pairs count {a1, a2} twice and (a, a) once
-            counts[2 * self.a.members() - lo] += 1
-            counts //= 2
-        return RepHistogram(kind, lo, hi, counts, form=form if kind == "form" else None)
-
-    def _product(
-        self, coeffs: tuple[int, int], start: int, nfft: int
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        if nfft != self._nfft:
-            self._nfft, self._buffers = 0, ()  # the previous length's arrays go first
+    def product(coeffs, start, keep, nfft):
+        if nfft not in held:
             work = np.zeros(nfft)
-            work[self.a.members() - self.a.lo] = 1.0
-            spectrum = np.fft.rfft(work)
-            self._nfft, self._buffers = nfft, (spectrum, np.empty_like(spectrum), work)
-        spectrum, product, work = self._buffers
-        _dilated_product(spectrum, coeffs, nfft, product)
-        self._uses[nfft] -= 1
-        if self._uses[nfft] < 1:  # no planned product at this length is left
-            self._nfft, self._buffers = 0, ()
-        return product, work, start
+            work[members - a.lo] = 1.0
+            x = np.fft.rfft(work)
+            held[nfft] = x, np.empty_like(x), work
+        x, out, work = held[nfft] if keep else held.pop(nfft)
+        _dilated_product(x, coeffs, nfft, out)
+        return out, work, start
+
+    for (coeffs, count), (lo, hi) in zip(requests, intervals):
+        if len(coeffs) == 2:
+            u, v = coeffs
+            # The dilated indicators convolve u*a1 + v*a2 to the index
+            # u*(a1 - a.lo) + v*(a2 - a.lo) mod nfft, so lo - (u+v)*a.lo holds lo.
+            spectrum = partial(product, coeffs, lo - (u + v) * a.lo, next(keeps))
+            yield _pair_sums(u * members, v * members, lo, hi, count, None, spectrum), lo
+        else:
+            yield _folded_image(a, coeffs, lo, hi), lo
+
+
+def _folded_image(a: IntegerSet, coeffs: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
+    """The marks of A's image under k-ary ``coeffs`` over its interval [lo, hi]."""
+    # Fold one coefficient in at a time: the image of (c1, ..., cj) is the
+    # support of the pair sums of the image of (c1, ..., c(j-1)) and cj * A.
+    members = a.members()
+    image = coeffs[0] * members
+    for j in range(2, len(coeffs)):
+        part_lo, part_hi = _image_interval(a, coeffs[:j])
+        marks = _pair_sums(image, coeffs[j - 1] * members, part_lo, part_hi, count=False)
+        image = np.flatnonzero(marks) + part_lo
+    return _pair_sums(image, coeffs[-1] * members, lo, hi, count=False)
 
 
 def _dilated_product(x: np.ndarray, coeffs: tuple[int, ...], nfft: int, out: np.ndarray) -> None:
@@ -549,7 +523,19 @@ def _indicator_product(
 
 def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> RepHistogram:
     """Representation histogram of A under the given operation."""
-    return _SelfPairSums(a).histogram(kind, form)
+    coeffs = kind_form(kind, form).coeffs
+    return _histogram(a, kind, *next(_self_pair_sums(a, [(coeffs, True)])), form)
+
+
+def _histogram(
+    a: IntegerSet, kind: str, counts: np.ndarray, lo: int, form: LinearForm | None = None
+) -> RepHistogram:
+    """The histogram of ``kind`` from the ordered pair counts of its form over [lo, ...)."""
+    if kind == "sum":
+        # ordered pairs count {a1, a2} twice and (a, a) once
+        counts[2 * a.members() - lo] += 1
+        counts //= 2
+    return RepHistogram(kind, lo, lo + counts.size - 1, counts, form=form if kind == "form" else None)
 
 
 def multiplicity_profile(hist: RepHistogram) -> dict[int, int]:
@@ -607,13 +593,13 @@ def classify(a: IntegerSet) -> Classification:
     if a.lo != 0:
         raise ValueError("classification is defined for sets over [0, N]")
     n = a.hi
-    pairs = _SelfPairSums(a, [(1, 1), (1, -1)])
-    s = pairs.image_size((1, 1))
-    d = pairs.image_size((1, -1))
-    if s > d:
-        label = "sum-dominated"
-    elif s == d:
-        label = "balanced"
-    else:
-        label = "difference-dominated"
-    return Classification(label, s, d, (2 * n + 1) - s, (2 * n + 1) - d)
+    images = _self_pair_sums(a, [(KIND_FORMS[kind].coeffs, False) for kind in ("sum", "diff")])
+    s, d = [int(np.count_nonzero(next(images)[0])) for _ in range(2)]
+    return Classification(_domination_label(s, d), s, d, (2 * n + 1) - s, (2 * n + 1) - d)
+
+
+def _domination_label(sumset_size: int, diffset_size: int) -> str:
+    """sum-dominated, balanced or difference-dominated, by |A+A| against |A-A|."""
+    return ("difference-dominated", "balanced", "sum-dominated")[
+        (sumset_size >= diffset_size) + (sumset_size > diffset_size)
+    ]

@@ -1,11 +1,13 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import sumdiff
 from sumdiff import ExperimentAborted, LinearForm, SamplerSeed, form_image, sample, verify_bounds
 from sumdiff.cli import main
 
@@ -14,6 +16,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    # the child imports sumdiff from where this process did, which pytest's
+    # pythonpath setting may have put on sys.path without PYTHONPATH
+    src = os.path.dirname(os.path.dirname(sumdiff.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "sumdiff.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_enumerate_small(capsys):
@@ -94,12 +109,7 @@ def test_sample_with_form(capsys):
 
 
 def test_trial_index_beyond_64_bits_is_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sumdiff.cli", "sample", "--n", "100", "--p", "0.5",
-         "--trial-index", str(2**64)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("sample", "--n", "100", "--p", "0.5", "--trial-index", str(2**64))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -110,6 +120,9 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "sample", "--n", "100")[0] == 1  # family missing
     assert run_cli(capsys, "sample", "--n", "100", "--p", "0.5", "--c", "1", "--delta", "0.3")[0] == 1
     assert run_cli(capsys, "predict", "--n", "100", "--p", "2.0", "--regime", "above")[0] == 1
+    # N*p^2 = 8.2: "below" would predict more sums than there are values
+    assert run_cli(capsys, "predict", "--n", "54321", "--p", "0.0123", "--regime", "below")[0] == 1
+    assert run_cli(capsys, "sample", "--n", "100", "--p", "0.5", "--form", "2,-1", "--form", "2,-1")[0] == 1
     assert run_cli(capsys, "compare", "--form", "1,2")[0] == 1  # invalid form
     assert run_cli(capsys, "nonsense")[0] == 1
 
@@ -203,13 +216,14 @@ def _without(doc, key):
         ("'p'", {**_CONFIG, "family": {"variant": "explicit", "p": "0.5"}}),
         ("'c'", {**_CONFIG, "family": {"variant": "power-law", "c": True, "delta": 0.5}}),
         ("delta", {**_CONFIG, "family": {"variant": "power-law", "c": 1.0}}),
+        ("'variant' is required", {**_CONFIG, "family": {"p": 0.5}}),
         ("JSON object", [_CONFIG]),
     ],
     ids=[
         "sizes-string", "missing-int", "y-string", "xk-float", "forms-float",
         "n_list-float", "n_list-number", "n_list-bool", "trials-float", "trials-string",
         "trials-bool", "trials-missing", "seed-float", "threads-float", "threads-bool", "family-missing",
-        "p-string", "c-bool", "delta-missing", "list-document",
+        "p-string", "c-bool", "delta-missing", "variant-missing", "list-document",
     ],
 )
 def test_sweep_config_field_types(tmp_path, capsys, field, doc):
@@ -221,6 +235,21 @@ def test_sweep_config_field_types(tmp_path, capsys, field, doc):
     assert (code, out) == (1, "")
     assert err.startswith("sumdiff: error:") and err.count("\n") == 1
     assert field in err
+
+
+def test_sweep_config_rejects_other_sweep_flags(tmp_path, capsys):
+    # a flag next to --config was ignored; now it is named, even at its default
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_CONFIG))
+    argv = ("sweep", "--config", str(path))
+    code, out, err = run_cli(capsys, *argv, "--n", "5", "--out", "json", "--trials", "7")
+    assert (code, out) == (1, "")
+    assert err == "sumdiff: error: --config replaces the other sweep flags, got --n --trials --out\n"
+    code, out, err = run_cli(capsys, *argv, "--seed", "0")
+    assert (code, out) == (1, "") and err.endswith("got --seed\n")
+    out_path = tmp_path / "records.csv"
+    code, out, err = run_cli(capsys, *argv, "--output-path", str(out_path))
+    assert (code, out) == (0, "") and "wrote 1 records" in err
 
 
 @pytest.mark.parametrize(
@@ -366,10 +395,6 @@ def test_verify_bounds_usage_errors(capsys, argv):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "sumdiff.cli", "enumerate", "--n", "4"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("enumerate", "--n", "4")
     assert proc.returncode == 0
     assert "balanced=" in proc.stdout

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,6 +42,19 @@ def test_g_reference_values():
 def test_g_small_argument_linear():
     x = 1e-8
     assert abs(g_ratio(x) / x - 1.0) < 1e-8
+
+
+def test_g_matches_50_digit_reference():
+    # the closed form loses about 2*eps/x to cancellation, most just above
+    # the series cutover; both branches stay within 1e-15 of exact decimals
+    grid = [float(x) for x in np.logspace(-8, 2.5, 400)]
+    grid += [1e-3, math.nextafter(_SERIES_CUTOVER, 0.0), _SERIES_CUTOVER]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for x in grid:
+            d = Decimal(x)
+            exact = 2 * ((-d).exp() - 1 + d) / d
+            assert abs(Decimal(g_ratio(x)) / exact - 1) < Decimal("1e-15"), x
 
 
 def test_g_rejects_nonpositive():
@@ -275,8 +289,8 @@ PINNED_BUNDLES = [
      ("0x1.a022a8e2ed595p+18", "0x1.6741dc3c27253p+19", "0x1.803f65c744a9bp+20", "0x1.34a721e1ec6d6p+20")),
     (PFamily.power_law(2.3, 0.5), None, 12345,
      ("0x1.f491b34b400bbp+13", "0x1.3938f03c4fa0dp+14", "0x1.0f064cb4bff45p+13", "0x1.224c3f0ec17ccp+12")),
-    (PFamily.explicit(0.0123), "below", 54321,
-     ("0x1.b3f589a69738ep+17", "0x1.b3f589a69738ep+18", "-0x1.bf88134d2e71cp+16", "-0x1.49dcc9a69738ep+18")),
+    (PFamily.explicit(0.0123), "below", 12345,
+     ("0x1.6841cb418d691p+13", "0x1.6841cb418d691p+14", "0x1.9b5634be7296fp+13", "0x1.98a34be7296f0p+10")),
     (PFamily.explicit(0.0123), "at", 54321,
      ("0x1.42cce80f1ca7ap+16", "0x1.74c1ebbd9972ap+16", "0x1.96585fc38d618p+14", "0x1.9d08a213346b0p+13")),
     (PFamily.explicit(0.0123), "above", 54321,
@@ -300,6 +314,14 @@ def test_bundle_explicit_family_requires_regime():
 def test_bundle_rejects_regime_contradiction_and_bad_forms():
     with pytest.raises(ValueError):
         asymptotic_bundle(1000, PFamily.power_law(1.0, 0.7), regime="above")
+    # an explicit p's declared regime must keep every size and missing count
+    # within its span: N*p^2 = 8.2 is far above "below", 0.01 far below "above"
+    with pytest.raises(ValueError, match=r"'below' contradicts N\*p\^2 = 8.21822"):
+        asymptotic_bundle(54321, PFamily.explicit(0.0123), regime="below")
+    with pytest.raises(ValueError, match=r"'above' contradicts N\*p\^2 = 0.01"):
+        asymptotic_bundle(10**6, PFamily.explicit(0.0001), regime="above")
+    with pytest.raises(ValueError, match=r"missing-count 160 for \(5,-4\), outside \[0, 117\]"):
+        asymptotic_bundle(13, PFamily.explicit(0.5), (LinearForm((5, -4)),), regime="above")
     with pytest.raises(ValueError):
         asymptotic_bundle(1000, PFamily.power_law(1.0, 0.7), (LinearForm((1, 1)),))
     with pytest.raises(ValueError):

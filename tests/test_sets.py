@@ -441,21 +441,28 @@ BINARY_FORMS = ((1, 1), (1, -1), (2, -1), (3, -2), (4, -3), (5, -1))
     st.lists(st.integers(0, 40), max_size=25),
     st.integers(-30, 30),
     st.integers(0, 8),
-    st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
-def test_shared_spectrum_matches_oracles(xs, offset, slack, planned):
+def test_shared_spectrum_matches_oracles(xs, offset, slack):
     # 1e-9 forces the FFT branch; [offset, offset + 40 + slack] shifts the
-    # interval and leaves room past the members
+    # interval and leaves room past the members.  One call for the whole
+    # list, a k-ary fold among its binary requests, equals one call per
+    # request, and both equal the oracles.
     elems = sorted(set(x + offset for x in xs))
     a = make_set(elems, offset, offset + 40 + slack)
-    calls = [(coeffs, False) for coeffs in BINARY_FORMS] + [((1, 1), True), ((1, -1), True), ((3, -2), True)]
+    requests = [(coeffs, False) for coeffs in BINARY_FORMS[:3]] + [((1, 1, 1), False)]
+    requests += [(coeffs, False) for coeffs in BINARY_FORMS[3:]]
+    requests += [((1, 1), True), ((1, -1), True), ((3, -2), True)]
     with mock.patch.object(sets, "_PAIRS_PER_FFT_STEP", 1e-9):
-        pairs = sets._SelfPairSums(a, [coeffs for coeffs, _ in calls] if planned else ())
-        for coeffs, count in calls:
-            values, lo = pairs.pair_sums(coeffs, count)
+        shared = list(sets._self_pair_sums(a, requests))
+        for (coeffs, count), (values, lo) in zip(requests, shared, strict=True):
+            alone, alone_lo = next(sets._self_pair_sums(a, [(coeffs, count)]))
+            assert alone_lo == lo and alone.dtype == values.dtype and np.array_equal(alone, values)
             assert (lo, lo + values.size - 1) == sets._image_interval(a, coeffs)
             found = {int(i) + lo: int(c) for i, c in enumerate(values) if c}
+            if len(coeffs) > 2:
+                assert sorted(found) == form_image_oracle(elems, coeffs)
+                continue
             expected = form_rep_counts(elems, *coeffs)
             assert found == (expected if count else dict.fromkeys(expected, 1))
         for coeffs in BINARY_FORMS:
@@ -493,14 +500,14 @@ def test_dense_images_stay_within_three_slots():
     # the first FFT imports numpy.fft; the sizes are checked against the
     # public kernels before the measured calls
     sizes = [sumset(a).count, diffset(a).count, form_image(a, LinearForm((2, -1))).count]
-    pairs = sets._SelfPairSums(a, images)
+    results = sets._self_pair_sums(a, [(coeffs, False) for coeffs in images])
     assert sets._FFT_BYTES_PER_SLOT >= 3 * 8
     tracemalloc.start()
     try:
-        for coeffs, size in zip(images, sizes):
+        for size in sizes:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            marks, lo = pairs.pair_sums(coeffs, count=False)
+            marks, lo = next(results)
             peak = tracemalloc.get_traced_memory()[1] - base
             nfft = sets._fft_length(marks.size)
             assert a.count**2 > sets._PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)  # the FFT ran
@@ -509,6 +516,27 @@ def test_dense_images_stay_within_three_slots():
             del marks
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "max_k, forward, inverse", [(0, 2, 3), (2, 3, 5)], ids=["sizes-form", "sizes-form-xk2"]
+)
+def test_trial_shares_spectrum_per_fft_length(monkeypatch, max_k, forward, inverse):
+    # At N = 2e5 the sum and difference sets share one FFT length and the
+    # (2,-1) image needs a longer one: the sizes and the form take 2 forward
+    # transforms.  The histograms come after the form, so they take A's
+    # spectrum at the first length once more.
+    calls = {}
+    for name in ("rfft", "irfft"):
+        def counted(*args, real=getattr(np.fft, name), name=name, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    n = 2 * 10**5
+    spec = StatisticsSpec(max_k=max_k, forms=(LinearForm((2, -1)),))
+    run_trial(ExperimentConfig((n,), PFamily.power_law(1.0, 0.3), 1, 11, spec), n, 0)
+    assert calls == {"rfft": forward, "irfft": inverse}
 
 
 @given(
