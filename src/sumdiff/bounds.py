@@ -18,7 +18,6 @@ sum over d > 0 of C(R(d), 2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle
-from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _draw_below, _word_limit, p_of, sample
+from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
-from .sets import KIND_FORMS, IntegerSet, LinearForm, _grow_image, _histogram, _image, _self_pair_sums
+from .sets import KIND_FORMS, LinearForm, _grown_images, _histogram, _self_pair_sums
 from .sets import _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
@@ -68,6 +68,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must contain positive integers")
+        for n in self.n_list:
+            p_of(self.family, n)  # a p outside (0, 1) is refused before any worker starts
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         SamplerSeed(self.seed)
@@ -192,22 +194,23 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
 
     # One call for every image and histogram, so that they share A's spectrum
     # at each FFT length.  The forms come between the sizes and the
-    # histograms, so that no histogram is held during a form's FFT.
-    sized = ["sum", "diff"] if spec.sizes or spec.missing else []
-    image_coeffs = [KIND_FORMS[kind].coeffs for kind in sized] + [f.coeffs for f in spec.forms]
+    # histograms, so that no histogram is held during a form's FFT.  A form
+    # that is also a sized kind, (1,1) or (1,-1), is requested once.
+    sized = [KIND_FORMS[kind] for kind in ("sum", "diff")] if spec.sizes or spec.missing else []
+    images = list(dict.fromkeys(sized + list(spec.forms)))
     kinds = ["diff"] * (spec.max_k > 0 or spec.y) + ["sum"] * (spec.max_k > 0)
-    requests = [(c, False) for c in image_coeffs] + [(KIND_FORMS[k].coeffs, True) for k in kinds]
+    requests = [(f.coeffs, False) for f in images] + [(KIND_FORMS[k].coeffs, True) for k in kinds]
     results = _self_pair_sums(a, requests)
-    sizes = [int(np.count_nonzero(next(results)[0])) for _ in image_coeffs]
+    sizes = {f: int(np.count_nonzero(next(results)[0])) for f in images}
     hists = {kind: _histogram(a, kind, *next(results)) for kind in kinds}
 
     sum_size = diff_size = miss_s = miss_d = None
     if sized:
-        sum_size, diff_size = sizes[:2]
+        sum_size, diff_size = (sizes[f] for f in sized)
     if spec.missing:
         miss_s = total - sum_size
         miss_d = total - diff_size
-    form_sizes = dict(zip(spec.forms, sizes[len(sized):]))
+    form_sizes = {f: sizes[f] for f in spec.forms}
     form_missing = {f: f.weight * n - size for f, size in form_sizes.items()}
 
     xs = xps = ()
@@ -418,10 +421,6 @@ def _columns(spec: StatisticsSpec) -> list[_Column]:
     return [*_KEY_COLUMNS, *_statistic_columns(spec)]
 
 
-def csv_columns(spec: StatisticsSpec) -> list[str]:
-    return [col.name for col in _columns(spec)]
-
-
 def records_to_csv(records: Sequence[TrialRecord], spec: StatisticsSpec) -> str:
     """RFC-4180 CSV, LF line endings, floats at 17 significant digits."""
     columns = _columns(spec)
@@ -567,7 +566,7 @@ def empirical_crossover(
     if len(grid) < 2 or sorted(grid) != grid:
         raise ValueError("c_grid must be ascending with at least two points")
     sqrt_n = math.sqrt(n)
-    if grid[0] <= 0 or grid[-1] >= sqrt_n:
+    if not all(0 < c < sqrt_n for c in grid):  # NaN fails too
         raise ValueError("grid must satisfy 0 < c < sqrt(N) so that p lands in (0, 1)")
     _check_threads(threads)
     task = partial(_crossover_task, (f, g), n, tuple(c / sqrt_n for c in grid), seed)
@@ -588,28 +587,14 @@ def _crossover_trial(
 ) -> list[bool]:
     """Whether |f(A)| > |g(A)| for the set A sampled at each p of one trial.
 
-    The sets grow with p, so each form's image marks grow with them: at
-    each p only the pairs with a newly sampled element are added.
+    The sets grow with p, so each form's image grows with them: at each p
+    only the pairs with a newly sampled element are added.  The forms are
+    grown one after the other, so one form's marks are held at a time.
     """
-    members, words = _draw_below(n, ps[-1], SamplerSeed(seed, trial_index))
-    # in the order of their words, so that the set at each p is a prefix
-    order = np.argsort(words)
-    members = members[order]
-    limits = np.array([_word_limit(p) for p in ps], dtype=np.uint64)
-    ends = np.searchsorted(words[order], limits)
-    # start from the images of the empty subset of [0, n]
-    empty = IntegerSet([], 0, n)
-    images = [(*_image(empty, form.coeffs), form.coeffs) for form in forms]
-    wins = []
-    start = 0
-    for end in ends:
-        sizes = []
-        for marks, lo, coeffs in images:
-            _grow_image(marks, lo, coeffs, members[:start], members[start:end])
-            sizes.append(np.count_nonzero(marks))
-        wins.append(sizes[0] > sizes[1])
-        start = end
-    return wins
+    members, ends = _nested_draw(n, ps, SamplerSeed(seed, trial_index))
+    sizes = [[np.count_nonzero(marks) for marks in _grown_images(members, ends, form.coeffs, n)]
+             for form in forms]
+    return [f > g for f, g in zip(*sizes)]
 
 
 def _interpolate_half(grid: Sequence[float], freqs: Sequence[float]) -> float | None:
@@ -660,7 +645,6 @@ def verify_bounds(
     run on the trial pool and a failure names its trial."""
     report = bound_report(c, delta, g_exp, n)
     family = PFamily.power_law(c, delta)
-    p_of(family, n)  # a p outside (0, 1) is a usage error before any worker starts
     spec = StatisticsSpec(sizes=False, missing=False, y=True)
     records, _ = run_experiment(ExperimentConfig((n,), family, trials, seed, spec))
     lo, hi = report.card_interval

@@ -187,19 +187,24 @@ def asymptotic_bundle(
 
 
 def missing_sum_probability(n: int, p: float, value: int) -> float:
-    """Exact P(value not in A+A) for A binomial over [0, n], value in [0, 2n].
-
-    The two-element representations {k, value-k} and the possible
-    diagonal {value/2, value/2} occupy disjoint index pairs, so the
-    exclusion events are independent and the probability is an exact
-    product.
-    """
+    """Exact P(value not in A+A) for A binomial over [0, n], value in [0, 2n]."""
     if not 0 <= value <= 2 * n:
         raise ValueError(f"value {value} outside [0, {2*n}]")
-    m = min(value, 2 * n - value)
-    if m % 2 == 0:
-        return (1.0 - p * p) ** (m // 2) * (1.0 - p)
-    return (1.0 - p * p) ** ((m + 1) // 2)
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must be in (0, 1)")
+    return math.exp(_log_missing_sum(min(value, 2 * n - value), p))
+
+
+def _log_missing_sum(m, p: float):
+    """log P(value not in A+A) for the value(s) with min(value, 2n - value) = m
+    (an int or an int array).
+
+    The two-element representations {k, value-k}, (m+1)//2 of them, and for
+    even m the diagonal {value/2, value/2} occupy disjoint index pairs, so the
+    exclusion events are independent and the probability is an exact
+    product.  It is summed in log space: 1 - p*p rounds to 1 below p ~ 1e-8.
+    """
+    return (m + 1) // 2 * math.log1p(-p * p) + (m % 2 == 0) * math.log1p(-p)
 
 
 def exact_missing_sums_expectation(n: int, p: float) -> float:
@@ -208,14 +213,7 @@ def exact_missing_sums_expectation(n: int, p: float) -> float:
         raise ValueError("n must be >= 0")
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    vals = np.arange(n + 1, dtype=np.int64)
-    logq = math.log1p(-p * p)
-    expo = np.where(
-        vals % 2 == 0,
-        (vals // 2) * logq + math.log1p(-p),
-        ((vals + 1) // 2) * logq,
-    )
-    probs = np.exp(expo)
+    probs = np.exp(_log_missing_sum(np.arange(n + 1, dtype=np.int64), p))
     # values n+1 .. 2n mirror values 0 .. n-1
     return float(2.0 * probs[:-1].sum() + probs[-1])
 

@@ -108,6 +108,16 @@ def _draw_below(n: int, p: float, key: SamplerSeed) -> tuple[np.ndarray, np.ndar
     return np.concatenate(members), np.concatenate(words)
 
 
+def _nested_draw(n: int, ps: tuple[float, ...], key: SamplerSeed) -> tuple[np.ndarray, np.ndarray]:
+    """The elements sampled at the largest of the ascending ``ps``, in the
+    order they join as p grows, and for each p the length of the prefix that
+    is ``sample(n, p, key)``."""
+    members, words = _draw_below(n, ps[-1], key)
+    order = np.argsort(words)
+    limits = np.array([_word_limit(p) for p in ps], dtype=np.uint64)
+    return members[order], np.searchsorted(words[order], limits)
+
+
 def sample(n: int, p: float, key: SamplerSeed) -> IntegerSet:
     """Random subset of [0, n]: each element included independently with prob p."""
     if not 0.0 < p < 1.0:

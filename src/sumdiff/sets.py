@@ -276,10 +276,9 @@ def form_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
     return IntegerSet.from_bool(*_image(a, form.coeffs))
 
 
-def _image_interval(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[int, int]:
-    lo = sum(min(c * a.lo, c * a.hi) for c in coeffs)
-    hi = sum(max(c * a.lo, c * a.hi) for c in coeffs)
-    return lo, hi
+def _image_interval(lo: int, hi: int, coeffs: tuple[int, ...]) -> tuple[int, int]:
+    """The interval of the image under ``coeffs`` of the integers in [lo, hi]."""
+    return sum(min(c * lo, c * hi) for c in coeffs), sum(max(c * lo, c * hi) for c in coeffs)
 
 
 def _image(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[np.ndarray, int]:
@@ -302,7 +301,7 @@ def _self_pair_sums(
     one's inverse transform runs without it.
     """
     members = a.members()
-    intervals = [_image_interval(a, coeffs) for coeffs, _ in requests]
+    intervals = [_image_interval(a.lo, a.hi, coeffs) for coeffs, _ in requests]
     lengths = [_fft_length(hi - lo + 1) for (c, _), (lo, hi) in zip(requests, intervals) if len(c) == 2]
     keeps = iter([n == after for n, after in zip(lengths, lengths[1:] + [0])])
     held: dict = {}  # nfft: (X, product, work) while the next binary request has this nfft
@@ -335,7 +334,7 @@ def _folded_image(a: IntegerSet, coeffs: tuple[int, ...], lo: int, hi: int) -> n
     members = a.members()
     image = coeffs[0] * members
     for j in range(2, len(coeffs)):
-        part_lo, part_hi = _image_interval(a, coeffs[:j])
+        part_lo, part_hi = _image_interval(a.lo, a.hi, coeffs[:j])
         marks = _pair_sums(image, coeffs[j - 1] * members, part_lo, part_hi, count=False)
         image = np.flatnonzero(marks) + part_lo
     return _pair_sums(image, coeffs[-1] * members, lo, hi, count=False)
@@ -384,19 +383,24 @@ def _dilation(x: np.ndarray, c: int, k0: int, n: int, nfft: int) -> tuple[np.nda
     return x[nfft - j :: -m][:n], c > 0
 
 
-def _grow_image(
-    marks: np.ndarray, lo: int, coeffs: tuple[int, int], old: np.ndarray, new: np.ndarray
-) -> None:
-    """Turn ``marks``, the binary image of ``old`` over [lo, lo + marks.size),
-    into the image of old + new in place (``new`` disjoint from ``old``).
+def _grown_images(
+    members: np.ndarray, ends: Sequence[int], coeffs: tuple[int, int], n: int
+) -> Iterator[np.ndarray]:
+    """For each of the ascending ``ends``, the marks of the binary image of
+    members[:end] (distinct elements of [0, n]) over the image interval of [0, n].
 
-    Only the pairs with a new element are summed: u*new with v*(old + new),
-    and u*old with v*new.
+    One marks array is grown in place and yielded after each end: only the
+    pairs with a new element are summed, u*new with v*members[:end] and
+    u*old with v*new.
     """
     u, v = coeffs
-    hi = lo + marks.size - 1
-    _pair_sums(u * new, v * np.concatenate((old, new)), lo, hi, count=False, out=marks)
-    _pair_sums(u * old, v * new, lo, hi, count=False, out=marks)
+    lo, hi = _image_interval(0, n, coeffs)
+    marks = np.zeros(hi - lo + 1, dtype=bool)
+    for start, end in zip([0, *ends], ends):
+        old, new = members[:start], members[start:end]
+        _pair_sums(u * new, v * members[:end], lo, hi, count=False, out=marks)
+        _pair_sums(u * old, v * new, lo, hi, count=False, out=marks)
+        yield marks
 
 
 def _pair_sums(

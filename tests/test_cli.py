@@ -279,6 +279,23 @@ def test_sweep_rejects_repeated_form(capsys):
     assert "repeated form" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("sweep", "--n", "10", "--n", "1000", "--c", "5", "--delta", "0.1", "--trials", "2"),
+         "outside (0, 1) for N = 10"),
+        (("crossover", "--form", "4,-3", "--form", "5,-1", "--n", "10000",
+          "--c-grid", "1,nan", "--trials", "2", "--threads", "1"), "0 < c < sqrt(N)"),
+    ],
+    ids=["sweep-p-above-1", "crossover-nan-c"],
+)
+def test_bad_parameters_are_usage_errors(capsys, argv, message):
+    # refused while the command is set up, before any trial runs
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("sumdiff: error:") and message in err
+
+
 def test_sweep_dense_histograms_within_budget(capsys):
     # |A| ~ 5e4: 2.5e9 pairs per histogram, but each FFT costs ~4e6
     code, out, _ = run_cli(

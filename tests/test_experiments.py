@@ -438,6 +438,9 @@ def test_crossover_grid_validation():
         empirical_crossover(f, g, 10**4, [2.0, 1.0], 10, 0)
     with pytest.raises(ValueError):
         empirical_crossover(f, g, 100, [1.0, 11.0], 10, 0)
+    for grid in ([1.0, math.nan], [math.nan, 1.0]):  # NaN compares false either way
+        with pytest.raises(ValueError, match="sqrt"):
+            empirical_crossover(f, g, 10**4, grid, 10, 0)
 
 
 def test_crossover_inconclusive_when_grid_misses():

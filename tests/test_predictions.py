@@ -338,6 +338,22 @@ def test_missing_sum_probability_small_cases():
     assert missing_sum_probability(2, p, 2) == pytest.approx(0.375)
     assert missing_sum_probability(2, p, 3) == pytest.approx(0.75)  # mirror of 1
     assert missing_sum_probability(2, p, 4) == pytest.approx(0.5)  # mirror of 0
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="p must be"):
+            missing_sum_probability(2, bad, 0)
+
+
+@pytest.mark.parametrize("n, value", [(10**10, 10**10), (10**10, 10**10 - 1), (3 * 10**9, 17)])
+def test_missing_sum_probability_keeps_p_squared_at_tiny_p(n, value):
+    # (1 - p^2)^k (1 - p)^[value even] in 50-digit decimals: at p = 1e-9,
+    # 1 - p*p rounds to 1 in floats, which is 5e-9 off at value = 10^10
+    p = 1e-9
+    m = min(value, 2 * n - value)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = 1 - Decimal(p) ** 2
+        expected = q ** ((m + 1) // 2) * ((1 - Decimal(p)) if m % 2 == 0 else 1)
+    assert missing_sum_probability(n, p, value) == pytest.approx(float(expected), rel=1e-13)
 
 
 def test_exact_missing_sums_single_point():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from sumdiff import PFamily, SamplerSeed, p_of, sample
 from sumdiff import sampling
-from sumdiff.sampling import _draw_below, _word_limit
+from sumdiff.sampling import _draw_below, _nested_draw, _word_limit
 
 # probabilities at which an error in the word threshold would show: the
 # sparse p, exact multiples of 2**-53 and their neighbours, the extremes
@@ -102,6 +102,17 @@ def test_chunk_size_does_not_change_the_draw(monkeypatch, chunk):
             assert np.array_equal(members[kept < np.uint64(_word_limit(p))], expected)
             if n <= 5:
                 assert np.array_equal(sample(n, p, key).members(), expected)
+
+
+@pytest.mark.parametrize("n", [0, 5, 65536, 200003])
+def test_nested_draw_prefixes_are_the_samples(n):
+    # each p's prefix of the nested draw is the set sampled at p, in any order
+    key = SamplerSeed(2024, 5)
+    ps = (2.0**-53, 1e6**-0.7, 1e-3, 0.5, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0))
+    members, ends = _nested_draw(n, ps, key)
+    assert list(ends) == sorted(ends) and ends[-1] == members.size
+    for p, end in zip(ps, ends, strict=True):
+        assert np.array_equal(np.sort(members[:end]), sample(n, p, key).members()), p
 
 
 @given(

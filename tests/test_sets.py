@@ -363,7 +363,7 @@ def test_pair_sum_branches_match_oracles(xs, offset, coeffs):
     u, v = coeffs
     elems = sorted(set(x + offset for x in xs))
     a = make_set(elems, offset, offset + 40)
-    lo, hi = sets._image_interval(a, coeffs)
+    lo, hi = sets._image_interval(a.lo, a.hi, coeffs)
     left, right = u * a.members(), v * a.members()
     expected_counts = form_rep_counts(elems, u, v)
     for branch in (sets._direct_pair_sums, sets._fft_pair_sums):
@@ -458,7 +458,7 @@ def test_shared_spectrum_matches_oracles(xs, offset, slack):
         for (coeffs, count), (values, lo) in zip(requests, shared, strict=True):
             alone, alone_lo = next(sets._self_pair_sums(a, [(coeffs, count)]))
             assert alone_lo == lo and alone.dtype == values.dtype and np.array_equal(alone, values)
-            assert (lo, lo + values.size - 1) == sets._image_interval(a, coeffs)
+            assert (lo, lo + values.size - 1) == sets._image_interval(a.lo, a.hi, coeffs)
             found = {int(i) + lo: int(c) for i, c in enumerate(values) if c}
             if len(coeffs) > 2:
                 assert sorted(found) == form_image_oracle(elems, coeffs)
@@ -519,13 +519,16 @@ def test_dense_images_stay_within_three_slots():
 
 
 @pytest.mark.parametrize(
-    "max_k, forward, inverse", [(0, 2, 3), (2, 3, 5)], ids=["sizes-form", "sizes-form-xk2"]
+    "forms, max_k, forward, inverse",
+    [([(2, -1)], 0, 2, 3), ([(2, -1)], 2, 3, 5), ([(2, -1), (1, -1)], 0, 2, 3)],
+    ids=["sizes-form", "sizes-form-xk2", "sizes-form-diff"],
 )
-def test_trial_shares_spectrum_per_fft_length(monkeypatch, max_k, forward, inverse):
+def test_trial_shares_spectrum_per_fft_length(monkeypatch, forms, max_k, forward, inverse):
     # At N = 2e5 the sum and difference sets share one FFT length and the
     # (2,-1) image needs a longer one: the sizes and the form take 2 forward
     # transforms.  The histograms come after the form, so they take A's
-    # spectrum at the first length once more.
+    # spectrum at the first length once more.  The form (1,-1) is the
+    # difference set, already requested for the sizes, so it costs nothing.
     calls = {}
     for name in ("rfft", "irfft"):
         def counted(*args, real=getattr(np.fft, name), name=name, **kwargs):
@@ -534,7 +537,7 @@ def test_trial_shares_spectrum_per_fft_length(monkeypatch, max_k, forward, inver
 
         monkeypatch.setattr(np.fft, name, counted)
     n = 2 * 10**5
-    spec = StatisticsSpec(max_k=max_k, forms=(LinearForm((2, -1)),))
+    spec = StatisticsSpec(max_k=max_k, forms=tuple(map(LinearForm, forms)))
     run_trial(ExperimentConfig((n,), PFamily.power_law(1.0, 0.3), 1, 11, spec), n, 0)
     assert calls == {"rfft": forward, "irfft": inverse}
 
@@ -548,13 +551,15 @@ def test_trial_shares_spectrum_per_fft_length(monkeypatch, max_k, forward, inver
 def test_grown_image_matches_fresh_image(staged, coeffs, pairs_per_fft_step):
     # Element x joins the nested sets A_0 <= A_1 <= A_2 <= A_3 at its stage;
     # 1e-9 forces the FFT branch, 1e9 direct pairs.
+    members = np.array([x for x, _ in sorted(staged, key=lambda t: t[1])], dtype=np.int64)
+    ends = [sum(s <= stage for _, s in staged) for stage in range(4)]
+    lo, hi = sets._image_interval(0, 60, coeffs)
     with mock.patch.object(sets, "_PAIRS_PER_FFT_STEP", pairs_per_fft_step):
-        marks, lo = sets._image(make_set([], 0, 60), coeffs)
-        for stage in range(4):
-            old = np.array([x for x, s in staged if s < stage], dtype=np.int64)
-            new = np.array([x for x, s in staged if s == stage], dtype=np.int64)
-            sets._grow_image(marks, lo, coeffs, old, new)
-            fresh = form_image(make_set(np.concatenate((old, new)), 0, 60), LinearForm(coeffs))
+        grown = sets._grown_images(members, ends, coeffs, 60)
+        for stage, marks in zip(range(4), grown, strict=True):
+            prefix = make_set([x for x, s in staged if s <= stage], 0, 60)
+            fresh = form_image(prefix, LinearForm(coeffs))
+            assert marks.size == hi - lo + 1
             assert np.count_nonzero(marks) == fresh.count
             assert (np.flatnonzero(marks) + lo).tolist() == fresh.members().tolist()
 
