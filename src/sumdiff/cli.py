@@ -250,7 +250,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_crossover(args) -> int:
     if len(args.form) != 2:
         raise ValueError("crossover needs exactly two --form arguments")
-    grid = [float(tok) for tok in args.c_grid.split(",")]
+    try:
+        grid = [float(tok) for tok in args.c_grid.split(",")]
+    except ValueError:
+        raise ValueError(f"--c-grid needs comma-separated numbers, got {args.c_grid!r}") from None
     result = empirical_crossover(
         args.form[0], args.form[1], args.n, grid, args.trials, args.seed,
         threads=_threads_from(args),

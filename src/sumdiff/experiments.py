@@ -27,7 +27,7 @@ from .predictions import PredictionBundle, asymptotic_bundle
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import KIND_FORMS, LinearForm, _grown_images, _histogram, _self_pair_sums
-from .sets import _tuple_count, multiplicity_profile
+from .sets import _integer, _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
 from .thresholds import classify_pair
@@ -49,7 +49,7 @@ class StatisticsSpec:
     y: bool = False
 
     def __post_init__(self):
-        if not 0 <= self.max_k <= MAX_K:
+        if not 0 <= _integer(self.max_k, "max_k") <= MAX_K:
             raise ValueError(f"max_k must lie in [0, {MAX_K}]")
         if len(set(self.forms)) < len(self.forms):
             raise ValueError(f"repeated form in {[str(f) for f in self.forms]}")
@@ -66,13 +66,15 @@ class ExperimentConfig:
     threads: int | str = "auto"
 
     def __post_init__(self):
+        object.__setattr__(self, "n_list", tuple(_integer(n, "N") for n in self.n_list))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must contain positive integers")
         for n in self.n_list:
             p_of(self.family, n)  # a p outside (0, 1) is refused before any worker starts
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        SamplerSeed(self.seed)
+        object.__setattr__(self, "seed", SamplerSeed(self.seed).seed)
         if self.output not in ("csv", "json"):
             raise ValueError("output must be 'csv' or 'json'")
         _check_threads(self.threads)
@@ -158,6 +160,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial's statistics.  ``form_missing[f]`` is w*N - |f(A)|, w the sum of
+    f's |coefficients|: one less than how many of the w*N + 1 values f can take
+    f(A) misses, so a full image reads -1 and (1, -1) reads missing_diffs - 1."""
+
     n: int
     p: float
     trial_index: int
@@ -472,6 +478,7 @@ def enumerate_exhaustive(n: int) -> dict[str, int]:
     n - m + 1 translates inside [0, n]; so only the 2^(m-1) sets of each
     span m are classified, each weighted by its translates.
     """
+    n = _integer(n, "n")
     if n < 0:
         raise ValueError("n must be >= 0")
     if n > MAX_ENUMERATION_N:
@@ -559,9 +566,9 @@ def empirical_crossover(
     report = classify_pair(f, g)
     if report.case != "case-ii":
         raise ValueError(f"({f}, {g}) is {report.case}; crossover needs a case-ii pair")
+    n, trials, seed = _integer(n, "n"), _integer(trials, "trials"), SamplerSeed(seed).seed
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    SamplerSeed(seed)
     grid = [float(c) for c in c_grid]
     if len(grid) < 2 or sorted(grid) != grid:
         raise ValueError("c_grid must be ascending with at least two points")

@@ -4,6 +4,8 @@ Conventions for a random subset A of [0, N] with inclusion probability p:
 
 * S = |A+A|, D = |A-A|; missing counts Sc = (2N+1) - S, Dc = (2N+1) - D.
 * For a binary form f = (u, v), Df = |f(A)| and Dfc = (u+|v|)N - Df.
+  Dfc is one less than how many of the (u+|v|)N + 1 values f can take
+  f(A) misses: a full image has Dfc = -1, and (1, -1) has Dc - 1.
 * The threshold scale is p ~ N**-0.5: regime "below" means p decays
   faster (delta > 1/2), "at" means p = c*N**-0.5, "above" means slower
   decay (delta < 1/2).

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import IntegerSet
+from .sets import IntegerSet, _integer
 
 GENERATOR_NAME = "philox4x64"
 
@@ -36,6 +36,8 @@ class SamplerSeed:
     trial_index: int = 0
 
     def __post_init__(self):
+        for name in ("seed", "trial_index"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         if not 0 <= self.trial_index < 2**64:

@@ -10,15 +10,15 @@ the branch it runs, in time and in memory, and refuses a call that exceeds
 either budget.  Callers that need only an image's size count its marks
 without building the member array.
 
-The binary images and histograms of one set share its spectrum X, the
-rfft of A's indicator, taken once per FFT length: the pair sums under
-(u, v) are the inverse transform of X(u*k) * X(v*k), and the spectrum of
-A dilated by c is X(c*k mod nfft), read off X by strided slices.  So the
-sum set, the difference set and the (2,-1) image of one large set take 5
-transforms, not 9.  A caller asks for all of them in one call, whose
-ordered list of requests the sharing follows.  k-ary folds and grown
-images convolve two indicator vectors instead; both kinds of product end
-in the same inverse transform and exactness check.
+The images and histograms of one set share its spectrum X, the rfft of
+A's indicator, taken once per FFT length: the pair sums under (u, v) are
+the inverse transform of X(u*k) * X(v*k), and the spectrum of A dilated
+by c is X(c*k mod nfft), read off X by strided slices.  So the sum set,
+the difference set and the (2,-1) image of one large set take 5
+transforms, not 9, in one call whose ordered requests the sharing
+follows.  A k-ary image starts so too; only its later folds and grown
+images convolve two indicator vectors, with the same inverse transform
+and exactness check.
 
 All operations are pure: values never mutate after construction.
 """
@@ -263,27 +263,22 @@ class RepHistogram:
 
 def sumset(a: IntegerSet) -> IntegerSet:
     """A + A over [2*lo, 2*hi]."""
-    return IntegerSet.from_bool(*_image(a, (1, 1)))
+    return form_image(a, KIND_FORMS["sum"])
 
 
 def diffset(a: IntegerSet) -> IntegerSet:
     """A - A over [lo - hi, hi - lo]; symmetric about 0."""
-    return IntegerSet.from_bool(*_image(a, (1, -1)))
+    return form_image(a, KIND_FORMS["diff"])
 
 
 def form_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
     """{u1*a1 + ... + uk*ak : ai in A} over its exact representable interval."""
-    return IntegerSet.from_bool(*_image(a, form.coeffs))
+    return IntegerSet.from_bool(*next(_self_pair_sums(a, [(form.coeffs, False)])))
 
 
 def _image_interval(lo: int, hi: int, coeffs: tuple[int, ...]) -> tuple[int, int]:
     """The interval of the image under ``coeffs`` of the integers in [lo, hi]."""
     return sum(min(c * lo, c * hi) for c in coeffs), sum(max(c * lo, c * hi) for c in coeffs)
-
-
-def _image(a: IntegerSet, coeffs: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """The image's marks over its interval, and the interval's lo."""
-    return next(_self_pair_sums(a, [(coeffs, False)]))
 
 
 def _self_pair_sums(
@@ -294,17 +289,18 @@ def _self_pair_sums(
     ``count`` (binary ``coeffs`` only), else marks.  Each is yielded before
     the next request runs.
 
-    The binary requests share A's spectrum X at each FFT length and reuse
-    its arrays: X, a product spectrum and a float64 work buffer (the
-    indicator, then the inverse transform).  X is kept after a product only
-    while the next binary request has the same length, so that the last
-    one's inverse transform runs without it.
+    Every request starts from the pair sums of its first two coefficients,
+    which share A's spectrum X at each FFT length and reuse its arrays: X, a
+    product spectrum and a float64 work buffer.  A k-ary request then folds
+    in cj*A for each later cj.  X is kept after a product only if this
+    request is binary and the next has the same length, so that neither a
+    last inverse transform nor a fold runs beside it.
     """
     members = a.members()
-    intervals = [_image_interval(a.lo, a.hi, coeffs) for coeffs, _ in requests]
-    lengths = [_fft_length(hi - lo + 1) for (c, _), (lo, hi) in zip(requests, intervals) if len(c) == 2]
-    keeps = iter([n == after for n, after in zip(lengths, lengths[1:] + [0])])
-    held: dict = {}  # nfft: (X, product, work) while the next binary request has this nfft
+    firsts = [_image_interval(a.lo, a.hi, coeffs[:2]) for coeffs, _ in requests]
+    lengths = [_fft_length(hi - lo + 1) for lo, hi in firsts]
+    keeps = [len(c) == 2 and n == after for (c, _), n, after in zip(requests, lengths, lengths[1:] + [0])]
+    held: dict = {}  # nfft: (X, product, work) while the next request has this nfft
 
     def product(coeffs, start, keep, nfft):
         if nfft not in held:
@@ -316,28 +312,17 @@ def _self_pair_sums(
         _dilated_product(x, coeffs, nfft, out)
         return out, work, start
 
-    for (coeffs, count), (lo, hi) in zip(requests, intervals):
-        if len(coeffs) == 2:
-            u, v = coeffs
-            # The dilated indicators convolve u*a1 + v*a2 to the index
-            # u*(a1 - a.lo) + v*(a2 - a.lo) mod nfft, so lo - (u+v)*a.lo holds lo.
-            spectrum = partial(product, coeffs, lo - (u + v) * a.lo, next(keeps))
-            yield _pair_sums(u * members, v * members, lo, hi, count, None, spectrum), lo
-        else:
-            yield _folded_image(a, coeffs, lo, hi), lo
-
-
-def _folded_image(a: IntegerSet, coeffs: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
-    """The marks of A's image under k-ary ``coeffs`` over its interval [lo, hi]."""
-    # Fold one coefficient in at a time: the image of (c1, ..., cj) is the
-    # support of the pair sums of the image of (c1, ..., c(j-1)) and cj * A.
-    members = a.members()
-    image = coeffs[0] * members
-    for j in range(2, len(coeffs)):
-        part_lo, part_hi = _image_interval(a.lo, a.hi, coeffs[:j])
-        marks = _pair_sums(image, coeffs[j - 1] * members, part_lo, part_hi, count=False)
-        image = np.flatnonzero(marks) + part_lo
-    return _pair_sums(image, coeffs[-1] * members, lo, hi, count=False)
+    for (coeffs, count), (lo, hi), keep in zip(requests, firsts, keeps):
+        u, v = coeffs[:2]
+        # The dilated indicators convolve u*a1 + v*a2 to the index
+        # u*(a1 - a.lo) + v*(a2 - a.lo) mod nfft, so lo - (u+v)*a.lo holds lo.
+        spectrum = partial(product, (u, v), lo - (u + v) * a.lo, keep)
+        sums = _pair_sums(u * members, v * members, lo, hi, count, None, spectrum)
+        for j in range(2, len(coeffs)):
+            part_lo, (lo, hi) = lo, _image_interval(a.lo, a.hi, coeffs[: j + 1])
+            sums = _pair_sums(np.flatnonzero(sums) + part_lo, coeffs[j] * members, lo, hi, False)
+        yield sums, lo
+        del sums  # not held while the next request runs
 
 
 def _dilated_product(x: np.ndarray, coeffs: tuple[int, ...], nfft: int, out: np.ndarray) -> None:

@@ -253,19 +253,23 @@ def test_sweep_config_rejects_other_sweep_flags(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, argv",
+    "message, argv",
     [
-        ("--threads", ("sweep", "--n", "30", "--p", "0.5", "--trials", "1", "--threads", "1.5")),
-        ("--stats xk:", ("sweep", "--n", "30", "--p", "0.5", "--trials", "1", "--stats", "xk:two")),
-        ("--threads", ("crossover", "--form", "4,-3", "--form", "5,-1", "--n", "1000",
-                       "--c-grid", "1", "--trials", "1", "--threads", "two")),
+        ("--threads needs an integer",
+         ("sweep", "--n", "30", "--p", "0.5", "--trials", "1", "--threads", "1.5")),
+        ("--stats xk: needs an integer",
+         ("sweep", "--n", "30", "--p", "0.5", "--trials", "1", "--stats", "xk:two")),
+        ("--threads needs an integer", ("crossover", "--form", "4,-3", "--form", "5,-1", "--n",
+                                        "1000", "--c-grid", "1", "--trials", "1", "--threads", "two")),
+        ("--c-grid needs comma-separated numbers, got '1,,2'\n",
+         ("crossover", "--form", "4,-3", "--form", "5,-1", "--n", "1000", "--c-grid", "1,,2")),
     ],
-    ids=["sweep-threads", "sweep-xk", "crossover-threads"],
+    ids=["sweep-threads", "sweep-xk", "crossover-threads", "crossover-c-grid"],
 )
-def test_bad_number_names_its_flag(capsys, flag, argv):
+def test_bad_number_names_its_flag(capsys, message, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith(f"sumdiff: error: {flag} needs an integer") and err.count("\n") == 1
+    assert err.startswith(f"sumdiff: error: {message}") and err.count("\n") == 1
 
 
 def test_sweep_rejects_repeated_form(capsys):

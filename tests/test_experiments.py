@@ -305,6 +305,38 @@ def test_config_rejects_unknown_fields():
 # --- output formats
 
 
+_CASE_II = (LinearForm((4, -3)), LinearForm((5, -1)))
+
+
+@pytest.mark.parametrize(
+    "call, bad, good",
+    [
+        (lambda x: small_config(n_list=(x,)), True, 400),
+        (lambda x: small_config(n_list=(x,)), 10.5, 400),
+        (lambda x: small_config(trials=x), 2.5, 2),
+        (lambda x: small_config(seed=x), 2.9, 2),
+        (lambda x: SamplerSeed(x), 2.9, 2),
+        (lambda x: SamplerSeed(0, x), 1.0, 1),
+        (lambda x: empirical_crossover(*_CASE_II, x, [1.0, 2.0], 2, 0, threads=1), 100.5, 100),
+        (lambda x: empirical_crossover(*_CASE_II, 100, [1.0, 2.0], x, 0, threads=1), 2.5, 2),
+        (lambda x: enumerate_exhaustive(x), True, 3),
+        (lambda x: enumerate_exhaustive(x), 3.0, 3),
+        (lambda x: StatisticsSpec(max_k=x), 2.5, 2),
+    ],
+    ids=[
+        "n_list-bool", "n_list-float", "trials-float", "seed-float", "sampler-seed",
+        "sampler-trial-index", "crossover-n", "crossover-trials", "enumerate-bool", "enumerate-float",
+        "spec-max_k",
+    ],
+)
+def test_counts_must_be_integers(call, bad, good):
+    # A bool was written as N=True, a float failed inside a worker or was
+    # truncated into another seed's stream; numpy integers still pass.
+    with pytest.raises(ValueError, match="must be an integer, got"):
+        call(bad)
+    call(np.int64(good))
+
+
 def test_csv_shape_and_formatting():
     config = small_config(trials=4)
     records, _ = run_experiment(config)

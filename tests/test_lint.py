@@ -46,3 +46,60 @@ def test_package_has_no_unused_imports():
     assert len(modules) >= 8
     found = [f"{p.name}:{line} {name}" for p in modules for line, name in unused_imports(p)]
     assert found == []
+
+
+def unreferenced_private_names(paths):
+    """(file, line, name) of each module-level private name (``_x``, not a
+    dunder) that one of ``paths`` defines and none of them reads.
+
+    A read is a loaded name or an attribute, so ``module._x`` counts.
+    """
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [
+                (path.name, node.lineno, name) for name in names
+                if name.startswith("_") and not name.endswith("__") and name not in read
+            ]
+    return found
+
+
+def test_unreferenced_private_names_flags_only_unread_names(tmp_path):
+    first, second = tmp_path / "first.py", tmp_path / "second.py"
+    first.write_text(
+        "__all__ = []\n"
+        "_LIMIT = 3\n"
+        "_unused: int = 4\n"
+        "def _helper():\n"
+        "    return _LIMIT\n"
+        "class _Orphan:\n"
+        "    _inner = 1\n"
+        "def _by_attribute():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    second.write_text("import first\nfirst._helper()\nfirst._by_attribute()\n", encoding="utf-8")
+    found = unreferenced_private_names([first, second])
+    assert found == [("first.py", 3, "_unused"), ("first.py", 6, "_Orphan")]
+
+
+def test_package_has_no_unreferenced_private_names():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = [f"{name}:{line} {private}" for name, line, private in unreferenced_private_names(modules)]
+    assert found == []

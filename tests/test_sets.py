@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -489,6 +490,27 @@ def test_dilated_spectrum_matches_rfft(nfft, c):
     assert np.allclose(out, np.fft.rfft(dilated), atol=1e-9)
 
 
+def test_no_result_is_held_while_the_next_request_runs(monkeypatch):
+    # A result the caller has dropped must be freed before the next request
+    # allocates: the generator keeps no reference to it across the yield.
+    refs = []
+    seen = []
+    real = sets._pair_sums
+
+    def spy(*args, **kwargs):
+        seen.append([ref() is not None for ref in refs])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sets, "_pair_sums", spy)
+    a = make_set(range(0, 400, 3), 0, 400)
+    requests = [((1, 1), False), ((1, 1, 1), False), ((2, -1, 3), False), ((1, -1), True)]
+    for values, _ in sets._self_pair_sums(a, requests):
+        refs.append(weakref.ref(values))
+        del values
+    assert len(refs) == 4 and len(seen) == 6
+    assert not any(map(any, seen))
+
+
 def test_dense_images_stay_within_three_slots():
     # The sizes and the (2,-1) form of a run_trial at N = 2e5, delta = 0.3:
     # each call peaks at A's spectrum, the product spectrum and the work
@@ -520,8 +542,14 @@ def test_dense_images_stay_within_three_slots():
 
 @pytest.mark.parametrize(
     "forms, max_k, forward, inverse",
-    [([(2, -1)], 0, 2, 3), ([(2, -1)], 2, 3, 5), ([(2, -1), (1, -1)], 0, 2, 3)],
-    ids=["sizes-form", "sizes-form-xk2", "sizes-form-diff"],
+    [
+        ([(2, -1)], 0, 2, 3),
+        ([(2, -1)], 2, 3, 5),
+        ([(2, -1), (1, -1)], 0, 2, 3),
+        ([(1, 1, 1)], 0, 3, 4),
+        ([(1, 1, 1)], 2, 4, 6),
+    ],
+    ids=["sizes-form", "sizes-form-xk2", "sizes-form-diff", "sizes-kary", "sizes-kary-xk2"],
 )
 def test_trial_shares_spectrum_per_fft_length(monkeypatch, forms, max_k, forward, inverse):
     # At N = 2e5 the sum and difference sets share one FFT length and the
@@ -529,6 +557,9 @@ def test_trial_shares_spectrum_per_fft_length(monkeypatch, forms, max_k, forward
     # transforms.  The histograms come after the form, so they take A's
     # spectrum at the first length once more.  The form (1,-1) is the
     # difference set, already requested for the sizes, so it costs nothing.
+    # The (1,1,1) image starts from A+A at the sizes' length, then folds in
+    # A by two indicator transforms; X is dropped before the fold, so the
+    # histograms take it again.
     calls = {}
     for name in ("rfft", "irfft"):
         def counted(*args, real=getattr(np.fft, name), name=name, **kwargs):
