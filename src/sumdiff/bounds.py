@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .sets import _integer, _real
+
 
 def f_exponent(delta: float) -> float:
     """min(1/2, (3*delta - 1)/2)."""
@@ -32,8 +34,7 @@ def r_exponent(delta: float) -> float:
 
 
 def _validate(c: float, delta: float) -> None:
-    if c <= 0:
-        raise ValueError("c must be positive")
+    _real(c, "c")
     if not 0.5 < delta < 1.0:
         raise ValueError(f"delta must lie in (1/2, 1), got {delta}")
 
@@ -58,8 +59,7 @@ class BoundReport:
 def bound_report(c: float, delta: float, g_exp: float, n: int) -> BoundReport:
     """All bound quantities at (c, delta, g_exp, N); requires 0 < g_exp < f(delta)."""
     _validate(c, delta)
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    n = _integer(n, "N", least=1)
     fd = f_exponent(delta)
     if not 0.0 < g_exp < fd:
         raise ValueError(f"g_exp must lie in (0, f(delta)) = (0, {fd:g}), got {g_exp}")
@@ -121,8 +121,7 @@ def alt_parameterization(c: float, delta: float, n: int) -> AltBoundReport:
     """Alternative failure probability P2 = N^-(6 - 8 delta - 2 r(delta))
     with the tighter collision threshold 9 C^4 N^(3 - 4 delta)."""
     _validate(c, delta)
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    n = _integer(n, "N", least=1)
     rd = r_exponent(delta)
     exponent = 6.0 - 8.0 * delta - 2.0 * rd
     if delta >= 0.75:

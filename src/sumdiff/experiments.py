@@ -49,8 +49,15 @@ class StatisticsSpec:
     y: bool = False
 
     def __post_init__(self):
+        for name in ("sizes", "missing", "y"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a boolean, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         if not 0 <= _integer(self.max_k, "max_k") <= MAX_K:
             raise ValueError(f"max_k must lie in [0, {MAX_K}]")
+        if not all(isinstance(f, LinearForm) for f in self.forms):
+            raise ValueError(f"forms must hold LinearForms, got {self.forms!r}")
         if len(set(self.forms)) < len(self.forms):
             raise ValueError(f"repeated form in {[str(f) for f in self.forms]}")
 
@@ -66,14 +73,12 @@ class ExperimentConfig:
     threads: int | str = "auto"
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(_integer(n, "N") for n in self.n_list))
-        object.__setattr__(self, "trials", _integer(self.trials, "trials"))
-        if not self.n_list or any(n < 1 for n in self.n_list):
-            raise ValueError("n_list must contain positive integers")
+        object.__setattr__(self, "n_list", tuple(_integer(n, "N", least=1) for n in self.n_list))
+        object.__setattr__(self, "trials", _integer(self.trials, "trials", least=1))
+        if not self.n_list:
+            raise ValueError("n_list must not be empty")
         for n in self.n_list:
             p_of(self.family, n)  # a p outside (0, 1) is refused before any worker starts
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         object.__setattr__(self, "seed", SamplerSeed(self.seed).seed)
         if self.output not in ("csv", "json"):
             raise ValueError("output must be 'csv' or 'json'")
@@ -81,8 +86,8 @@ class ExperimentConfig:
 
 
 def _check_threads(threads: int | str) -> None:
-    if threads != "auto" and (not isinstance(threads, int) or threads < 1):
-        raise ValueError("threads must be a positive integer or 'auto'")
+    if threads != "auto":
+        _integer(threads, "threads", least=1)
 
 
 def _reject_unknown(mapping: dict, allowed: Iterable[str], where: str) -> None:
@@ -478,9 +483,7 @@ def enumerate_exhaustive(n: int) -> dict[str, int]:
     n - m + 1 translates inside [0, n]; so only the 2^(m-1) sets of each
     span m are classified, each weighted by its translates.
     """
-    n = _integer(n, "n")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    n = _integer(n, "n", least=0)
     if n > MAX_ENUMERATION_N:
         raise ResourceBudgetError(f"exhaustive enumeration capped at N = {MAX_ENUMERATION_N}")
     counts = {"sum_dominated": 0, "balanced": n + 2, "difference_dominated": 0}
@@ -566,9 +569,8 @@ def empirical_crossover(
     report = classify_pair(f, g)
     if report.case != "case-ii":
         raise ValueError(f"({f}, {g}) is {report.case}; crossover needs a case-ii pair")
-    n, trials, seed = _integer(n, "n"), _integer(trials, "trials"), SamplerSeed(seed).seed
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    n, trials = _integer(n, "n", least=1), _integer(trials, "trials", least=1)
+    seed = SamplerSeed(seed).seed
     grid = [float(c) for c in c_grid]
     if len(grid) < 2 or sorted(grid) != grid:
         raise ValueError("c_grid must be ascending with at least two points")

@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from .sampling import PFamily, p_of
-from .sets import KIND_FORMS, LinearForm, kind_form
+from .sets import KIND_FORMS, LinearForm, _integer, _real, kind_form
 
 # The closed form of g loses about 2*eps/x (relative) to cancellation, so
 # below this x g switches to its alternating series, whose omitted terms are
@@ -35,8 +35,7 @@ REGIMES = ("below", "at", "above")
 
 def series_partial_g(x: float, m: int) -> float:
     """Partial sum 2 * sum_{k=1..m} (-1)^(k-1) x^k / (k+1)!."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _integer(m, "m", least=1)
     term = x / 2.0
     total = term
     for k in range(2, m + 1):
@@ -46,9 +45,12 @@ def series_partial_g(x: float, m: int) -> float:
 
 
 def g_ratio(x: float) -> float:
-    """The size ratio function 2*(exp(-x) - (1-x))/x, increasing (0,inf)->(0,2)."""
-    if x <= 0:
-        raise ValueError("g is defined for x > 0")
+    """The size ratio function 2*(exp(-x) - (1-x))/x, increasing (0,inf)->(0,2);
+    its limit 2 at x = inf."""
+    if not x > 0:  # NaN too
+        raise ValueError(f"g is defined for x > 0, got {x}")
+    if x == math.inf:  # the closed form is inf/inf there
+        return 2.0
     if x < _SERIES_CUTOVER:
         return series_partial_g(x, _SERIES_TERMS)
     # expm1 keeps the numerator's cancellation at eps*x instead of eps
@@ -60,8 +62,8 @@ def g_form(u: int, absv: int, x: float) -> float:
 
     Computed as |v|*g(x) - (u-|v|)*expm1(-x), so g_form(1, 1, x) is g(x).
     """
-    if not (isinstance(u, int) and isinstance(absv, int)) or u < absv or absv < 1:
-        raise ValueError(f"need integers u >= |v| >= 1, got u={u}, |v|={absv}")
+    absv = _integer(absv, "|v|", least=1)
+    u = _integer(u, "u", least=absv)
     return absv * g_ratio(x) - (u - absv) * math.expm1(-x)
 
 
@@ -70,8 +72,8 @@ def alpha(u: int, absv: int) -> Fraction:
 
     Smaller alpha means the larger image just below the threshold scale.
     """
-    if u < absv or absv < 1:
-        raise ValueError(f"need u >= |v| >= 1, got u={u}, |v|={absv}")
+    absv = _integer(absv, "|v|", least=1)
+    u = _integer(u, "u", least=absv)
     if math.gcd(u, absv) != 1:
         raise ValueError(f"need gcd(u, |v|) = 1, got u={u}, |v|={absv}")
     return Fraction(3 * u - absv, 6 * u * u)
@@ -116,8 +118,7 @@ def expected_tuple_count(
     (2|v|/(k+1)! + (u-|v|)/k!) / (theta*u)^k * p^(2k) * N^(k+1), where
     theta = 2 for "sum", whose histogram counts unordered pairs, else 1.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    n, p, k = _integer(n, "N", least=1), _real(p, "p", hi=1.0), _integer(k, "k", least=1)
     f = kind_form(kind, form)
     u, absv, theta = f.u, abs(f.v), 2 if kind == "sum" else 1
     coeff = (2 * absv / math.factorial(k + 1) + (u - absv) / math.factorial(k)) / (theta * u) ** k
@@ -190,10 +191,10 @@ def asymptotic_bundle(
 
 def missing_sum_probability(n: int, p: float, value: int) -> float:
     """Exact P(value not in A+A) for A binomial over [0, n], value in [0, 2n]."""
-    if not 0 <= value <= 2 * n:
+    n, p = _integer(n, "n", least=0), _real(p, "p", hi=1.0)
+    value = _integer(value, "value", least=0)
+    if value > 2 * n:
         raise ValueError(f"value {value} outside [0, {2*n}]")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
     return math.exp(_log_missing_sum(min(value, 2 * n - value), p))
 
 
@@ -211,10 +212,7 @@ def _log_missing_sum(m, p: float):
 
 def exact_missing_sums_expectation(n: int, p: float) -> float:
     """Exact E[Sc] = sum over values in [0, 2n] of P(value not in A+A)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
+    n, p = _integer(n, "n", least=0), _real(p, "p", hi=1.0)
     probs = np.exp(_log_missing_sum(np.arange(n + 1, dtype=np.int64), p))
     # values n+1 .. 2n mirror values 0 .. n-1
     return float(2.0 * probs[:-1].sum() + probs[-1])
@@ -228,10 +226,7 @@ def janson_missing_diffs_bounds(n: int, p: float) -> tuple[float, float]:
     Delta = (n-2d+1) p^3 for d <= n/2 (one dependent pair per 3-term
     arithmetic progression of gap d), Delta = 0 otherwise.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
+    n, p = _integer(n, "n", least=0), _real(p, "p", hi=1.0)
     zero_term = math.exp((n + 1) * math.log1p(-p))
     if n == 0:
         return zero_term, zero_term

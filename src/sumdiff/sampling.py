@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import IntegerSet, _integer
+from .sets import IntegerSet, _integer, _real
 
 GENERATOR_NAME = "philox4x64"
 
@@ -55,11 +55,9 @@ class PFamily:
 
     def __post_init__(self):
         if self.variant == "explicit":
-            if self.p is None or not 0.0 < self.p < 1.0:
-                raise ValueError(f"explicit family requires 0 < p < 1, got {self.p}")
+            object.__setattr__(self, "p", _real(self.p, "p", hi=1.0))
         elif self.variant == "power-law":
-            if self.c is None or self.c <= 0.0:
-                raise ValueError(f"power-law family requires c > 0, got {self.c}")
+            object.__setattr__(self, "c", _real(self.c, "c"))
             if self.delta is None or not 0.0 <= self.delta <= 1.0:
                 raise ValueError(f"power-law family requires 0 <= delta <= 1, got {self.delta}")
         else:
@@ -67,19 +65,18 @@ class PFamily:
 
     @classmethod
     def explicit(cls, p: float) -> "PFamily":
-        return cls("explicit", p=float(p))
+        return cls("explicit", p=p)
 
     @classmethod
     def power_law(cls, c: float, delta: float) -> "PFamily":
-        return cls("power-law", c=float(c), delta=float(delta))
+        return cls("power-law", c=c, delta=float(delta))
 
 
 def p_of(family: PFamily, n: int) -> float:
     """Evaluate the family at N = n; the result must land in (0, 1)."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    n = _integer(n, "N", least=1)
     if family.variant == "explicit":
-        return float(family.p)
+        return family.p
     p = family.c * float(n) ** (-family.delta)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p(N) = {p:g} outside (0, 1) for N = {n}")
@@ -122,10 +119,7 @@ def _nested_draw(n: int, ps: tuple[float, ...], key: SamplerSeed) -> tuple[np.nd
 
 def sample(n: int, p: float, key: SamplerSeed) -> IntegerSet:
     """Random subset of [0, n]: each element included independently with prob p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    n, p = _integer(n, "n", least=0), _real(p, "p", hi=1.0)
     members, _ = _draw_below(n, p, key)
     return IntegerSet.from_members(members, 0, n)
 

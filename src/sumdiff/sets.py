@@ -50,7 +50,8 @@ PAIR_MEMORY_BUDGET = 2**31
 # 2^21 and 3*2^20); the larger is priced, rounded up.  See CHANGES.md.
 _FFT_BYTES_PER_SLOT = 24 + 17
 
-# Rows are blocked so each outer-product chunk stays ~10^7 entries.
+# Direct pairs are summed one block of rows at a time, each block of about
+# 10^7 sums, into one reused buffer.
 _CHUNK_ENTRIES = 10**7
 
 # Direct pairs run unless |left|*|right| > this * nfft*log2(nfft): the cost
@@ -131,11 +132,24 @@ class IntegerSet:
         return f"IntegerSet([{self.lo},{self.hi}] n={self.count} {{{', '.join(map(str, head))}{tail}}})"
 
 
-def _integer(value: object, what: str) -> int:
-    """``value`` as an int; a ValueError unless it is a Python or numpy integer (not a bool)."""
+def _integer(value: object, what: str, least: int | None = None) -> int:
+    """``value`` as an int; a ValueError unless it is a Python or numpy integer
+    (not a bool), at least ``least`` if given.  This and _real are the
+    package's only checks on the counts, probabilities and rates it is passed."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
     return int(value)
+
+
+def _real(value: object, what: str, lo: float = 0.0, hi: float = math.inf) -> float:
+    """``value`` as a float; a ValueError unless it is a Python or numpy real
+    number (not a bool) strictly inside (lo, hi), so never NaN or infinite."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and lo < value < hi):
+        raise ValueError(f"{what} must be a number in ({lo:g}, {hi:g}), got {value!r}")
+    return float(value)
 
 
 def make_set(elements: Iterable[int], lo: int, hi: int) -> IntegerSet:
@@ -407,8 +421,8 @@ def _pair_sums(
     FFT result that does not round to exact integers falls back to direct
     pairs.  This is the package's only cost model: before allocating
     anything, each branch raises ResourceBudgetError if its cost exceeds
-    the pair budget or its memory (the result, plus the FFT's workspace)
-    exceeds the memory budget.
+    the pair budget or its memory (the result, plus the FFT's workspace or
+    the direct branch's, see _direct_bytes) exceeds the memory budget.
     """
     width = hi - lo + 1
     result_bytes = width * (8 if count else 1)
@@ -421,7 +435,8 @@ def _pair_sums(
         found = _fft_pair_sums(left, right, lo, hi, count, out, spectrum)
         if found is not None:
             return found
-    _check_budget(pairs, result_bytes, f"{left.size} x {right.size} direct pairs")
+    direct_bytes = _direct_bytes(left.size, right.size, width, count)
+    _check_budget(pairs, direct_bytes, f"{left.size} x {right.size} direct pairs")
     return _direct_pair_sums(left, right, lo, hi, count, out)
 
 
@@ -435,6 +450,17 @@ def _check_budget(cost: float, nbytes: int, what: str) -> None:
         )
 
 
+def _block_rows(right: int) -> int:
+    """Rows of left per block of direct pair sums: about _CHUNK_ENTRIES sums."""
+    return max(1, _CHUNK_ENTRIES // max(right, 1))
+
+
+def _direct_bytes(left: int, right: int, width: int, count: bool) -> int:
+    """Peak memory of _direct_pair_sums: the result, left shifted to lo, and
+    the buffer of one block of int64 pair sums."""
+    return width * (8 if count else 1) + 8 * (left + min(left, _block_rows(right)) * right)
+
+
 def _direct_pair_sums(
     left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
     out: np.ndarray | None = None,
@@ -442,16 +468,16 @@ def _direct_pair_sums(
     width = hi - lo + 1
     if out is None:
         out = np.zeros(width, dtype=np.int64 if count else bool)
-    if right.size == 0:
-        return out
     shifted = left - lo
-    step = max(1, _CHUNK_ENTRIES // right.size)
-    for i in range(0, left.size, step):
-        vals = (shifted[i : i + step, None] + right[None, :]).ravel()
+    rows = _block_rows(right.size)
+    block = np.empty((min(rows, left.size), right.size), dtype=np.int64)
+    for i in range(0, left.size, rows):
+        sums = block[: left.size - i]
+        np.add(shifted[i : i + rows, None], right, out=sums)
         if count:
-            out += np.bincount(vals, minlength=width)
+            np.add.at(out, sums.ravel(), 1)  # bincount would make a second width-sized array
         else:
-            out[vals] = True
+            out[sums.ravel()] = True
     return out
 
 
@@ -552,9 +578,7 @@ def tuple_statistic(hist: RepHistogram, k: int) -> int:
     Sum over values v of C(R(v), k), with v = 0 excluded for diff
     histograms.  Exact integer arithmetic (results can exceed 64 bits).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _tuple_count(multiplicity_profile(hist), k)
+    return _tuple_count(multiplicity_profile(hist), _integer(k, "k", least=1))
 
 
 def repeated_gap_pairs(hist: RepHistogram) -> int:

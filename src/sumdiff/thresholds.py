@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .errors import BracketingError
 from .predictions import _threshold_ratio, alpha
 from .sampling import PFamily
-from .sets import LinearForm
+from .sets import LinearForm, _real
 
 VALIDITY_NOTE = "valid where N^-3/5 = o(p(N)) and p(N) = o(1)"
 
@@ -37,20 +37,17 @@ class DominationReport:
     validity_note: str = VALIDITY_NOTE
 
 
-def _require_difference_form(form: LinearForm) -> None:
-    if form.kind != "binary-difference":
-        raise ValueError(f"{form} is not a binary difference form")
-
-
 def _h(f: LinearForm, g: LinearForm, c: float) -> float:
     return _threshold_ratio(f, c) - _threshold_ratio(g, c)
 
 
 def _dominators(f: LinearForm, g: LinearForm) -> tuple[str, LinearForm | None, LinearForm | None]:
     """The case and the dominating forms below and above the threshold scale:
-    smaller alpha below; larger u+|v| above, ties to smaller alpha."""
-    _require_difference_form(f)
-    _require_difference_form(g)
+    smaller alpha below; larger u+|v| above, ties to smaller alpha.  A form
+    that is not a binary difference form is refused."""
+    for form in (f, g):
+        if form.kind != "binary-difference":
+            raise ValueError(f"{form} is not a binary difference form")
     if (f.u, abs(f.v)) == (g.u, abs(g.v)):
         return "incomparable", None, None
     below = min(f, g, key=lambda h: alpha(h.u, abs(h.v)))
@@ -73,18 +70,15 @@ def solve_threshold(f: LinearForm, g: LinearForm) -> float:
     h(c) compares the threshold-regime image sizes of f and g; a root
     exists exactly in case-ii, where the small-c and large-c orderings
     disagree.  Bisection from [1e-6, 1], doubling the upper end until the
-    sign changes (capped at 1e3).  The sign at the small-c end is taken
-    from the exact quartic coefficients (h ~ (alpha_g - alpha_f) c^4
-    there, which underflows in floating point when the alphas are close).
+    sign changes (capped at 1e3).  The sign at the small-c end favours the
+    winner below the threshold scale, the form with the smaller exact
+    alpha (h ~ (alpha_g - alpha_f) c^4 there, which underflows in floating
+    point when the alphas are close).
     """
-    _require_difference_form(f)
-    _require_difference_form(g)
-    af, ag = alpha(f.u, abs(f.v)), alpha(g.u, abs(g.v))
-    if af == ag:
-        raise BracketingError(
-            f"({f}, {g}) share (u, |v|); h vanishes identically and has no root"
-        )
-    sign_lo = -1.0 if af > ag else 1.0
+    case, below, _ = _dominators(f, g)
+    if case != "case-ii":
+        raise BracketingError(f"({f}, {g}) is {case}; h has no positive root")
+    sign_lo = 1.0 if below == f else -1.0
     lo = 1e-6
     hi = 1.0
     while _h(f, g, hi) * sign_lo > 0:
@@ -109,11 +103,8 @@ def dominator_at(f: LinearForm, g: LinearForm, c: float) -> LinearForm | None:
     Returns None on a tie within 1e-14 * (u1+|v1|) — in particular for
     every c when the two forms share (u, |v|).
     """
-    _require_difference_form(f)
-    _require_difference_form(g)
-    if c <= 0:
-        raise ValueError("c must be positive")
-    h = _h(f, g, c)
+    _dominators(f, g)  # refuses a form that is not a binary difference form
+    h = _h(f, g, _real(c, "c"))
     if abs(h) < _TIE_SCALE * f.weight:
         return None
     return f if h > 0 else g
@@ -136,8 +127,7 @@ def regime_dominator(f: LinearForm, g: LinearForm, family: PFamily) -> RegimeDom
     delta = 1/2: sign of the threshold-regime comparison at c.
     delta >= 3/5: the binomial model cannot separate the forms.
     """
-    _require_difference_form(f)
-    _require_difference_form(g)
+    _, below, above = _dominators(f, g)
     if family.variant != "power-law":
         raise ValueError("regime dispatch requires a power-law family")
     delta = family.delta
@@ -151,7 +141,6 @@ def regime_dominator(f: LinearForm, g: LinearForm, family: PFamily) -> RegimeDom
     if delta == 0.5:
         winner = dominator_at(f, g, family.c)
         return RegimeDomination(winner, "at-threshold", f"sign of the ratio-function gap at c={family.c:g}")
-    _, below, above = _dominators(f, g)
     if delta > 0.5:
         winner, regime, why = below, "between", "smaller alpha loses fewer values to collisions"
     elif f.weight != g.weight:

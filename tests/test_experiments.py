@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -36,7 +37,18 @@ from sumdiff import (
     tuple_statistic,
     verify_bounds,
 )
+from sumdiff.bounds import alt_parameterization, bound_report
+from sumdiff.predictions import (
+    alpha,
+    exact_missing_sums_expectation,
+    expected_tuple_count,
+    g_form,
+    janson_missing_diffs_bounds,
+    missing_sum_probability,
+    series_partial_g,
+)
 from sumdiff.sampling import sample_uniforms
+from sumdiff.thresholds import dominator_at
 
 
 def small_config(**overrides):
@@ -308,33 +320,100 @@ def test_config_rejects_unknown_fields():
 _CASE_II = (LinearForm((4, -3)), LinearForm((5, -1)))
 
 
+_HIST = rep_histogram(IntegerSet([0, 1, 2, 4], 0, 4), "diff")
+
+
 @pytest.mark.parametrize(
-    "call, bad, good",
+    "what, call, bad, good",
     [
-        (lambda x: small_config(n_list=(x,)), True, 400),
-        (lambda x: small_config(n_list=(x,)), 10.5, 400),
-        (lambda x: small_config(trials=x), 2.5, 2),
-        (lambda x: small_config(seed=x), 2.9, 2),
-        (lambda x: SamplerSeed(x), 2.9, 2),
-        (lambda x: SamplerSeed(0, x), 1.0, 1),
-        (lambda x: empirical_crossover(*_CASE_II, x, [1.0, 2.0], 2, 0, threads=1), 100.5, 100),
-        (lambda x: empirical_crossover(*_CASE_II, 100, [1.0, 2.0], x, 0, threads=1), 2.5, 2),
-        (lambda x: enumerate_exhaustive(x), True, 3),
-        (lambda x: enumerate_exhaustive(x), 3.0, 3),
-        (lambda x: StatisticsSpec(max_k=x), 2.5, 2),
+        ("N", lambda x: small_config(n_list=(x,)), True, 400),
+        ("N", lambda x: small_config(n_list=(x,)), 10.5, 400),
+        ("trials", lambda x: small_config(trials=x), 2.5, 2),
+        ("seed", lambda x: small_config(seed=x), 2.9, 2),
+        ("seed", lambda x: SamplerSeed(x), 2.9, 2),
+        ("trial_index", lambda x: SamplerSeed(0, x), 1.0, 1),
+        ("n", lambda x: empirical_crossover(*_CASE_II, x, [1.0, 2.0], 2, 0, threads=1), 100.5, 100),
+        ("trials", lambda x: empirical_crossover(*_CASE_II, 100, [1.0, 2.0], x, 0, threads=1), 2.5, 2),
+        ("n", lambda x: enumerate_exhaustive(x), True, 3),
+        ("n", lambda x: enumerate_exhaustive(x), 3.0, 3),
+        ("max_k", lambda x: StatisticsSpec(max_k=x), 2.5, 2),
+        ("threads", lambda x: small_config(threads=x), True, 2),
+        ("threads", lambda x: empirical_crossover(*_CASE_II, 100, [1.0, 2.0], 2, 0, threads=x), True, 1),
+        ("N", lambda x: p_of(PFamily.power_law(1, 0.5), x), 10.5, 10),
+        ("n", lambda x: sample(x, 0.5, SamplerSeed(0)), True, 10),
+        ("n", lambda x: sample(x, 0.5, SamplerSeed(0)), 10.5, 10),
+        ("m", lambda x: series_partial_g(0.1, x), 2.5, 3),
+        ("u", lambda x: g_form(x, 1, 1.0), True, 2),
+        ("|v|", lambda x: g_form(2, x, 1.0), True, 1),
+        ("u", lambda x: alpha(x, 1), True, 2),
+        ("|v|", lambda x: alpha(2, x), True, 1),
+        ("k", lambda x: expected_tuple_count(100, 0.1, x, "diff"), True, 2),
+        ("k", lambda x: expected_tuple_count(100, 0.1, x, "diff"), 1.5, 2),
+        ("N", lambda x: expected_tuple_count(x, 0.1, 2, "diff"), 10.5, 100),
+        ("n", lambda x: missing_sum_probability(x, 0.1, 3), 10.5, 10),
+        ("value", lambda x: missing_sum_probability(10, 0.1, x), 3.5, 3),
+        ("n", lambda x: exact_missing_sums_expectation(x, 0.1), 10.5, 10),
+        ("n", lambda x: janson_missing_diffs_bounds(x, 0.1), True, 10),
+        ("N", lambda x: bound_report(1, 0.6, 0.1, x), 10.5, 100),
+        ("N", lambda x: alt_parameterization(1, 0.6, x), 10.5, 100),
+        ("k", lambda x: tuple_statistic(_HIST, x), True, 2),
+        ("k", lambda x: tuple_statistic(_HIST, x), 2.0, 2),
     ],
     ids=[
         "n_list-bool", "n_list-float", "trials-float", "seed-float", "sampler-seed",
         "sampler-trial-index", "crossover-n", "crossover-trials", "enumerate-bool", "enumerate-float",
-        "spec-max_k",
+        "spec-max_k", "config-threads-bool", "crossover-threads-bool", "p_of-float", "sample-bool",
+        "sample-float", "series-m", "g_form-u", "g_form-v", "alpha-u", "alpha-v", "tuple-count-bool",
+        "tuple-count-float", "tuple-count-n", "missing-sum-n", "missing-sum-value", "missing-sums-n", "janson-n",
+        "bound-report-n", "alt-bounds-n", "tuple-statistic-bool", "tuple-statistic-float",
     ],
 )
-def test_counts_must_be_integers(call, bad, good):
-    # A bool was written as N=True, a float failed inside a worker or was
-    # truncated into another seed's stream; numpy integers still pass.
-    with pytest.raises(ValueError, match="must be an integer, got"):
+def test_counts_must_be_integers(what, call, bad, good):
+    # A bool was written as N=True, a float failed inside a worker, was
+    # truncated into another seed's stream or gave another count's answer;
+    # numpy integers pass.
+    with pytest.raises(ValueError, match=rf"^{re.escape(what)} must be an integer, got"):
         call(bad)
     call(np.int64(good))
+
+
+@pytest.mark.parametrize(
+    "what, call, bad, good",
+    [
+        ("c", lambda x: PFamily.power_law(x, 0.5), math.nan, np.float64(1.0)),
+        ("c", lambda x: PFamily("power-law", c=x, delta=0.5), True, np.float64(1.0)),
+        ("c", lambda x: PFamily.power_law(x, 0.5), True, np.float64(1.0)),
+        ("p", lambda x: PFamily("explicit", p=x), "0.5", np.float64(0.5)),
+        ("p", lambda x: PFamily.explicit(x), "0.5", np.float64(0.5)),
+        ("p", lambda x: sample(10, x, SamplerSeed(0)), "0.5", np.float64(0.5)),
+        ("p", lambda x: expected_tuple_count(100, x, 2, "diff"), math.nan, np.float64(0.1)),
+        ("p", lambda x: missing_sum_probability(10, x, 3), "0.1", np.float64(0.1)),
+        ("p", lambda x: exact_missing_sums_expectation(10, x), "0.1", np.float64(0.1)),
+        ("p", lambda x: janson_missing_diffs_bounds(10, x), "0.1", np.float64(0.1)),
+        ("c", lambda x: bound_report(x, 0.6, 0.1, 100), math.nan, np.float64(1.0)),
+        ("c", lambda x: bound_report(x, 0.6, 0.1, 100), math.inf, np.float64(1.0)),
+        ("c", lambda x: alt_parameterization(x, 0.6, 100), math.nan, np.float64(1.0)),
+        ("c", lambda x: dominator_at(*_CASE_II, x), math.nan, np.float64(1.0)),
+        ("c", lambda x: dominator_at(*_CASE_II, x), math.inf, np.float64(1.0)),
+        ("sizes", lambda x: StatisticsSpec(sizes=x), 1, np.False_),
+        ("missing", lambda x: StatisticsSpec(missing=x), None, np.True_),
+        ("y", lambda x: StatisticsSpec(y=x), "no", np.True_),
+        ("forms", lambda x: StatisticsSpec(forms=x), ((2, -1),), (LinearForm((2, -1)),)),
+    ],
+    ids=[
+        "power-law-c-nan", "family-c-bool", "power-law-c-bool", "family-p-str", "explicit-p-str", "sample-p-str", "tuple-count-p-nan",
+        "missing-sum-p-str",
+        "missing-sums-p-str", "janson-p-str", "bound-report-c-nan", "bound-report-c-inf",
+        "alt-bounds-c-nan", "dominator-c-nan", "dominator-c-inf", "spec-sizes-int",
+        "spec-missing-none", "spec-y-str", "spec-forms-tuples",
+    ],
+)
+def test_rates_and_flags_must_be_in_range(what, call, bad, good):
+    # NaN and infinite rates gave NaN bounds or the wrong dominator, and a
+    # string flag was truthy; numpy reals and bools pass.
+    with pytest.raises(ValueError, match=rf"^{re.escape(what)} must "):
+        call(bad)
+    call(good)
 
 
 def test_csv_shape_and_formatting():

@@ -103,3 +103,36 @@ def test_package_has_no_unreferenced_private_names():
     assert len(modules) >= 9
     found = [f"{name}:{line} {private}" for name, line, private in unreferenced_private_names(modules)]
     assert found == []
+
+
+def integer_type_checks(path):
+    """Lines of ``path`` that call ``isinstance(x, int)``, with ``int`` alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+            if any(isinstance(kind, ast.Name) and kind.id == "int" for kind in kinds):
+                found.append(node.lineno)
+    return found
+
+
+def test_integer_type_checks_flags_int_alone_or_in_a_tuple(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(x, y):\n"
+        "    a = isinstance(x, int)\n"
+        "    b = isinstance(y, (float, int))\n"
+        "    c = isinstance(x, float) or isinstance(y, (bool, str))\n"
+        "    return a or isinstance(x, np.integer) or b or c\n",
+        encoding="utf-8",
+    )
+    assert integer_type_checks(module) == [2, 3]
+
+
+def test_package_checks_integers_only_in_sets():
+    # every count an argument carries goes through sets._integer, so a
+    # hand-written integer check elsewhere is a copy that can drift from it
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "sets.py")
+    assert len(modules) >= 8
+    found = [f"{p.name}:{line}" for p in modules for line in integer_type_checks(p)]
+    assert found == []

@@ -62,6 +62,14 @@ def test_g_rejects_nonpositive():
         g_ratio(0.0)
     with pytest.raises(ValueError):
         g_ratio(-1.0)
+    with pytest.raises(ValueError):
+        g_ratio(math.nan)
+
+
+def test_g_at_infinity_is_its_limit():
+    # the closed form is inf/inf there; an overflowed c^2 reaches it
+    assert g_ratio(math.inf) == 2.0
+    assert g_form(4, 3, math.inf) == 7.0
 
 
 def test_series_partial_values():

@@ -540,6 +540,32 @@ def test_dense_images_stay_within_three_slots():
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("count", [True, False], ids=["counts", "marks"])
+def test_direct_pairs_stay_within_their_price(monkeypatch, count):
+    # 1001 x 1001 pairs in blocks of 10^5 sums over a 2e6-wide interval:
+    # the result, the shifted left operand and one block are alive at once,
+    # plus the broadcasting sum's two int64 ufunc buffers and 64 KiB for
+    # small objects
+    monkeypatch.setattr(sets, "_CHUNK_ENTRIES", 10**5)
+    members = np.arange(0, 10**6 + 1, 1000)
+    lo, hi = -(10**6), 10**6
+    nfft = sets._fft_length(hi - lo + 1)
+    assert members.size**2 < sets._PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)  # direct
+    priced = sets._direct_bytes(members.size, members.size, hi - lo + 1, count)
+    tracemalloc.start()
+    try:
+        result = sets._pair_sums(members, -members, lo, hi, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= priced + 2 * 8 * np.getbufsize() + 2**16
+    # the gap 1000*d is made by the 1001 - |d| pairs (i + d, i)
+    gaps = np.arange(-1000, 1001)
+    expected = np.zeros(hi - lo + 1, dtype=np.int64)
+    expected[1000 * gaps - lo] = 1001 - abs(gaps)
+    assert np.array_equal(result, expected if count else expected > 0)
+
+
 @pytest.mark.parametrize(
     "forms, max_k, forward, inverse",
     [
