@@ -33,10 +33,8 @@ def r_exponent(delta: float) -> float:
     return max(3.0 - 4.0 * delta, 5.0 - 7.0 * delta) / 2.0
 
 
-def _validate(c: float, delta: float) -> None:
-    _real(c, "c")
-    if not 0.5 < delta < 1.0:
-        raise ValueError(f"delta must lie in (1/2, 1), got {delta}")
+def _validate(c: float, delta: float) -> tuple[float, float]:
+    return _real(c, "c"), _real(delta, "delta", 0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -58,11 +56,10 @@ class BoundReport:
 
 def bound_report(c: float, delta: float, g_exp: float, n: int) -> BoundReport:
     """All bound quantities at (c, delta, g_exp, N); requires 0 < g_exp < f(delta)."""
-    _validate(c, delta)
+    c, delta = _validate(c, delta)
     n = _integer(n, "N", least=1)
     fd = f_exponent(delta)
-    if not 0.0 < g_exp < fd:
-        raise ValueError(f"g_exp must lie in (0, f(delta)) = (0, {fd:g}), got {g_exp}")
+    g_exp = _real(g_exp, "g_exp", hi=fd)
     big_c = max(1.0, c)
     rd = r_exponent(delta)
     mean_card = c * float(n) ** (1.0 - delta)
@@ -120,7 +117,7 @@ class AltBoundReport:
 def alt_parameterization(c: float, delta: float, n: int) -> AltBoundReport:
     """Alternative failure probability P2 = N^-(6 - 8 delta - 2 r(delta))
     with the tighter collision threshold 9 C^4 N^(3 - 4 delta)."""
-    _validate(c, delta)
+    c, delta = _validate(c, delta)
     n = _integer(n, "N", least=1)
     rd = r_exponent(delta)
     exponent = 6.0 - 8.0 * delta - 2.0 * rd

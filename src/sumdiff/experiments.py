@@ -27,7 +27,7 @@ from .predictions import PredictionBundle, asymptotic_bundle
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import KIND_FORMS, LinearForm, _grown_images, _histogram, _self_pair_sums
-from .sets import _integer, _tuple_count, multiplicity_profile
+from .sets import _integer, _real, _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
 from .thresholds import classify_pair
@@ -54,8 +54,7 @@ class StatisticsSpec:
             if not isinstance(flag, (bool, np.bool_)):
                 raise ValueError(f"{name} must be a boolean, got {flag!r}")
             object.__setattr__(self, name, bool(flag))
-        if not 0 <= _integer(self.max_k, "max_k") <= MAX_K:
-            raise ValueError(f"max_k must lie in [0, {MAX_K}]")
+        object.__setattr__(self, "max_k", _integer(self.max_k, "max_k", 0, MAX_K))
         if not all(isinstance(f, LinearForm) for f in self.forms):
             raise ValueError(f"forms must hold LinearForms, got {self.forms!r}")
         if len(set(self.forms)) < len(self.forms):
@@ -124,7 +123,7 @@ def _field(obj: dict, key: str, kind: str, where: str, default: Any = None) -> A
 
 def _family_from_json(obj: dict) -> PFamily:
     _reject_unknown(obj, {"variant", "p", "c", "delta"}, "family")
-    numbers = {k: float(_field(obj, k, "a number", "family")) for k in obj if k != "variant"}
+    numbers = {k: _field(obj, k, "a number", "family") for k in obj if k != "variant"}
     return PFamily(_field(obj, "variant", "a string", "family"), **numbers)
 
 
@@ -571,12 +570,10 @@ def empirical_crossover(
         raise ValueError(f"({f}, {g}) is {report.case}; crossover needs a case-ii pair")
     n, trials = _integer(n, "n", least=1), _integer(trials, "trials", least=1)
     seed = SamplerSeed(seed).seed
-    grid = [float(c) for c in c_grid]
+    sqrt_n = math.sqrt(n)  # so that p = c / sqrt(N) lands in (0, 1)
+    grid = [_real(c, "c", hi=sqrt_n) for c in c_grid]
     if len(grid) < 2 or sorted(grid) != grid:
         raise ValueError("c_grid must be ascending with at least two points")
-    sqrt_n = math.sqrt(n)
-    if not all(0 < c < sqrt_n for c in grid):  # NaN fails too
-        raise ValueError("grid must satisfy 0 < c < sqrt(N) so that p lands in (0, 1)")
     _check_threads(threads)
     task = partial(_crossover_task, (f, g), n, tuple(c / sqrt_n for c in grid), seed)
     wins = np.sum(_run_tasks(task, range(trials), threads), axis=0)

@@ -85,8 +85,10 @@ def symmetry_count(form: LinearForm) -> int:
 
 
 def _threshold_ratio(form: LinearForm, c: float) -> float:
-    """|f(A)|/N for a binary form at p = c*N**-0.5: g_{u,|v|}(c^2/(theta*u))."""
-    return g_form(form.u, abs(form.v), c * c / (symmetry_count(form) * form.u))
+    """|f(A)|/N for a binary form at p = c*N**-0.5: g_{u,|v|}(c^2/(theta*u)),
+    or its limit 0 where that argument underflows to 0 (c below about 5e-162)."""
+    x = c * c / (symmetry_count(form) * form.u)
+    return g_form(form.u, abs(form.v), x) if x > 0 else 0.0
 
 
 def _form_rule(
@@ -192,9 +194,7 @@ def asymptotic_bundle(
 def missing_sum_probability(n: int, p: float, value: int) -> float:
     """Exact P(value not in A+A) for A binomial over [0, n], value in [0, 2n]."""
     n, p = _integer(n, "n", least=0), _real(p, "p", hi=1.0)
-    value = _integer(value, "value", least=0)
-    if value > 2 * n:
-        raise ValueError(f"value {value} outside [0, {2*n}]")
+    value = _integer(value, "value", 0, 2 * n)
     return math.exp(_log_missing_sum(min(value, 2 * n - value), p))
 
 

@@ -36,12 +36,9 @@ class SamplerSeed:
     trial_index: int = 0
 
     def __post_init__(self):
+        # each is one 64-bit word of the Philox key
         for name in ("seed", "trial_index"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        if not 0 <= self.trial_index < 2**64:
-            raise ValueError("trial_index must fit in an unsigned 64-bit integer")
+            object.__setattr__(self, name, _integer(getattr(self, name), name, 0, 2**64 - 1))
 
 
 @dataclass(frozen=True)
@@ -58,8 +55,7 @@ class PFamily:
             object.__setattr__(self, "p", _real(self.p, "p", hi=1.0))
         elif self.variant == "power-law":
             object.__setattr__(self, "c", _real(self.c, "c"))
-            if self.delta is None or not 0.0 <= self.delta <= 1.0:
-                raise ValueError(f"power-law family requires 0 <= delta <= 1, got {self.delta}")
+            object.__setattr__(self, "delta", _real(self.delta, "delta", 0.0, 1.0, closed=True))
         else:
             raise ValueError(f"unknown family variant {self.variant!r}")
 
@@ -69,7 +65,7 @@ class PFamily:
 
     @classmethod
     def power_law(cls, c: float, delta: float) -> "PFamily":
-        return cls("power-law", c=c, delta=float(delta))
+        return cls("power-law", c=c, delta=delta)
 
 
 def p_of(family: PFamily, n: int) -> float:

@@ -132,23 +132,28 @@ class IntegerSet:
         return f"IntegerSet([{self.lo},{self.hi}] n={self.count} {{{', '.join(map(str, head))}{tail}}})"
 
 
-def _integer(value: object, what: str, least: int | None = None) -> int:
+def _integer(value: object, what: str, least: int | None = None, most: int | None = None) -> int:
     """``value`` as an int; a ValueError unless it is a Python or numpy integer
-    (not a bool), at least ``least`` if given.  This and _real are the
-    package's only checks on the counts, probabilities and rates it is passed."""
+    (not a bool) in [least, most], either bound optional.  This and _real are
+    the package's only checks on the counts and rates it is passed, and their ranges."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    value = int(value)
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}, got {value}")
-    return int(value)
+    if most is not None and value > most:
+        raise ValueError(f"{what} must be <= {most}, got {value}")
+    return value
 
 
-def _real(value: object, what: str, lo: float = 0.0, hi: float = math.inf) -> float:
+def _real(value: object, what: str, lo: float = 0.0, hi: float = math.inf, closed: bool = False) -> float:
     """``value`` as a float; a ValueError unless it is a Python or numpy real
-    number (not a bool) strictly inside (lo, hi), so never NaN or infinite."""
+    number (not a bool) strictly inside (lo, hi), so never NaN or infinite;
+    inside [lo, hi] if ``closed``."""
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and lo < value < hi):
-        raise ValueError(f"{what} must be a number in ({lo:g}, {hi:g}), got {value!r}")
+    if not (real and (lo <= value <= hi if closed else lo < value < hi)):
+        left, right = "[]" if closed else "()"
+        raise ValueError(f"{what} must be a number in {left}{lo:g}, {hi:g}{right}, got {value!r}")
     return float(value)
 
 

@@ -9,7 +9,9 @@ import pytest
 
 import sumdiff
 from sumdiff import ExperimentAborted, LinearForm, SamplerSeed, form_image, sample, verify_bounds
+from sumdiff.bounds import bound_report
 from sumdiff.cli import main
+from sumdiff.experiments import BoundCheck
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +83,30 @@ def test_predict_threshold_regime(capsys):
     assert "S_pred=426122.6" in out
     assert "D_pred=735758.8" in out
     assert "regime=at" in out
+
+
+def test_predict_prints_each_form(capsys):
+    code, out, _ = run_cli(
+        capsys, "predict", "--n", "1000000", "--c", "1", "--delta", "0.5", "--form", "2,-1"
+    )
+    assert code == 0
+    assert out == (
+        "N=1000000 p=0.001 regime=at c=1\n"
+        "S_pred=426122.638851 D_pred=735758.882343\n"
+        "Sc_pred=1573878.361149 Dc_pred=1264242.117657\n"
+        "form (2,-1): Df_pred=819591.979138 Dfc_pred=2180408.020862\n"
+    )
+
+
+def test_predict_at_tiny_c_takes_the_limit_zero(capsys):
+    # c^2 underflows to 0 here, so the sizes take their limit 0
+    code, out, _ = run_cli(capsys, "predict", "--n", "1000000", "--c", "1e-200", "--delta", "0.5")
+    assert code == 0
+    assert out == (
+        "N=1000000 p=1e-203 regime=at c=9.9999999999999998e-201\n"
+        "S_pred=0.000000 D_pred=0.000000\n"
+        "Sc_pred=2000001.000000 Dc_pred=2000001.000000\n"
+    )
 
 
 def test_predict_explicit_requires_regime(capsys):
@@ -289,7 +315,7 @@ def test_sweep_rejects_repeated_form(capsys):
         (("sweep", "--n", "10", "--n", "1000", "--c", "5", "--delta", "0.1", "--trials", "2"),
          "outside (0, 1) for N = 10"),
         (("crossover", "--form", "4,-3", "--form", "5,-1", "--n", "10000",
-          "--c-grid", "1,nan", "--trials", "2", "--threads", "1"), "0 < c < sqrt(N)"),
+          "--c-grid", "1,nan", "--trials", "2", "--threads", "1"), "c must be a number in (0, 100), got nan"),
     ],
     ids=["sweep-p-above-1", "crossover-nan-c"],
 )
@@ -298,6 +324,30 @@ def test_bad_parameters_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("sumdiff: error:") and message in err
+
+
+def test_sweep_needs_n_or_config(capsys):
+    assert run_cli(capsys, "sweep", "--p", "0.5", "--trials", "1") == (
+        1, "", "sumdiff: error: sweep needs --config or at least one --n\n"
+    )
+
+
+def test_sweep_rejects_unknown_statistic(capsys):
+    argv = ("sweep", "--n", "100", "--p", "0.1", "--trials", "1", "--stats", "sizes,bogus")
+    assert run_cli(capsys, *argv) == (1, "", "sumdiff: error: unknown statistic 'bogus'\n")
+
+
+def test_sweep_at_tiny_c(capsys):
+    # run_experiment predicts the summary after the trials; c^2 underflows to 0
+    code, out, _ = run_cli(
+        capsys, "sweep", "--n", "1000", "--c", "1e-200", "--delta", "0.5", "--trials", "2", "--threads", "1"
+    )
+    assert code == 0
+    assert out == (
+        "schema_version,N,p,trial_index,set_size,sumset_size,diffset_size,missing_sums,missing_diffs\n"
+        "1,1000,3.1622776601683791e-202,0,0,0,0,2001,2001\n"
+        "1,1000,3.1622776601683791e-202,1,0,0,0,2001,2001\n"
+    )
 
 
 def test_sweep_dense_histograms_within_budget(capsys):
@@ -329,8 +379,20 @@ def test_crossover_command(capsys):
         assert code == 1 and "error" in err
 
 
-@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
-def test_crossover_rejects_seed_outside_uint64(capsys, seed):
+def test_crossover_needs_two_forms(capsys):
+    argv = ("crossover", "--form", "4,-3", "--n", "10000", "--c-grid", "0.5,1", "--trials", "2")
+    assert run_cli(capsys, *argv) == (
+        1, "", "sumdiff: error: crossover needs exactly two --form arguments\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [("-1", "seed must be >= 0, got -1"),
+     ("18446744073709551616", "seed must be <= 18446744073709551615, got 18446744073709551616")],
+    ids=["-1", "18446744073709551616"],
+)
+def test_crossover_rejects_seed_outside_uint64(capsys, seed, message):
     code, out, err = run_cli(
         capsys,
         "crossover", "--form", "4,-3", "--form", "5,-1", "--n", "10000",
@@ -338,7 +400,7 @@ def test_crossover_rejects_seed_outside_uint64(capsys, seed):
     )
     assert code == 1
     assert out == ""
-    assert "seed must fit in an unsigned 64-bit integer" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -368,6 +430,42 @@ def test_verify_bounds_ok(capsys):
     assert code == 0
     assert "P1=" in out and "P2=" in out and "alt:" in out
     assert "VIOLATION" not in out
+
+
+def test_verify_bounds_alt_trivial_above_three_quarters(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "verify-bounds", "--c", "1", "--delta", "0.8", "--g-exp", "0.2",
+        "--n", "1000", "--trials", "20", "--alt",
+    )
+    assert code == 0
+    assert out == (
+        "c=1 delta=0.8 g_exp=0.2 N=1000 trials=20\n"
+        "P1=1.00475 empirical_cardinality_rate=0.2\n"
+        "P2=0.125893 empirical_collision_rate=0\n"
+        "card_interval=[1.99054, 5.97161] Y_threshold=35.8296\n"
+        "ratio_claim: 2 + O(N^-0.2) outside with prob <= 1.13065\n"
+        "alt: bound trivial for delta >= 3/4; almost surely no repeated sums or differences (Sidon set)\n"
+    )
+
+
+def test_verify_bounds_violation_exits_3(monkeypatch, capsys):
+    flag = "cardinality-interval failure rate 0.5 exceeds P1 = 0.252"
+    check = BoundCheck(bound_report(1.0, 0.6, 0.2, 1000), 20, 0.5, 0.0, (flag,))
+    monkeypatch.setattr("sumdiff.cli.verify_bounds", lambda *args: check)
+    code, out, _ = run_cli(
+        capsys,
+        "verify-bounds", "--c", "1", "--delta", "0.6", "--g-exp", "0.2", "--n", "1000", "--trials", "20",
+    )
+    assert code == 3
+    assert out == (
+        "c=1 delta=0.6 g_exp=0.2 N=1000 trials=20\n"
+        "P1=0.252383 empirical_cardinality_rate=0.5\n"
+        "P2=0.251189 empirical_collision_rate=0\n"
+        "card_interval=[7.92447, 23.7734] Y_threshold=567.862\n"
+        "ratio_claim: 2 + O(N^-0.2) outside with prob <= 0.503572\n"
+        f"VIOLATION: {flag}\n"
+    )
 
 
 def test_verify_bounds_bad_params(capsys):

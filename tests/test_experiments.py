@@ -38,6 +38,7 @@ from sumdiff import (
     verify_bounds,
 )
 from sumdiff.bounds import alt_parameterization, bound_report
+from sumdiff.experiments import _interpolate_half
 from sumdiff.predictions import (
     alpha,
     exact_missing_sums_expectation,
@@ -358,6 +359,8 @@ _HIST = rep_histogram(IntegerSet([0, 1, 2, 4], 0, 4), "diff")
         ("N", lambda x: alt_parameterization(1, 0.6, x), 10.5, 100),
         ("k", lambda x: tuple_statistic(_HIST, x), True, 2),
         ("k", lambda x: tuple_statistic(_HIST, x), 2.0, 2),
+        ("value", lambda x: missing_sum_probability(10, 0.1, x), 21, 20),
+        ("max_k", lambda x: StatisticsSpec(max_k=x), -1, 0),
     ],
     ids=[
         "n_list-bool", "n_list-float", "trials-float", "seed-float", "sampler-seed",
@@ -366,13 +369,14 @@ _HIST = rep_histogram(IntegerSet([0, 1, 2, 4], 0, 4), "diff")
         "sample-float", "series-m", "g_form-u", "g_form-v", "alpha-u", "alpha-v", "tuple-count-bool",
         "tuple-count-float", "tuple-count-n", "missing-sum-n", "missing-sum-value", "missing-sums-n", "janson-n",
         "bound-report-n", "alt-bounds-n", "tuple-statistic-bool", "tuple-statistic-float",
+        "missing-sum-value-above-2n", "spec-max_k-negative",
     ],
 )
 def test_counts_must_be_integers(what, call, bad, good):
     # A bool was written as N=True, a float failed inside a worker, was
     # truncated into another seed's stream or gave another count's answer;
-    # numpy integers pass.
-    with pytest.raises(ValueError, match=rf"^{re.escape(what)} must be an integer, got"):
+    # a count out of range names its bound; numpy integers pass.
+    with pytest.raises(ValueError, match=rf"^{re.escape(what)} must be (an integer|[<>]= \d+), got"):
         call(bad)
     call(np.int64(good))
 
@@ -399,19 +403,36 @@ def test_counts_must_be_integers(what, call, bad, good):
         ("missing", lambda x: StatisticsSpec(missing=x), None, np.True_),
         ("y", lambda x: StatisticsSpec(y=x), "no", np.True_),
         ("forms", lambda x: StatisticsSpec(forms=x), ((2, -1),), (LinearForm((2, -1)),)),
+        ("delta", lambda x: PFamily("power-law", c=1.0, delta=x), "0.5", np.float64(0.5)),
+        ("delta", lambda x: PFamily("power-law", c=1.0, delta=x), True, np.float64(0.5)),
+        ("delta", lambda x: PFamily.power_law(1.0, x), "0.5", np.float64(0.5)),
+        ("delta", lambda x: PFamily.power_law(1.0, x), True, np.float64(0.5)),
+        ("delta", lambda x: bound_report(1.0, x, 0.1, 100), "0.6", np.float64(0.6)),
+        ("delta", lambda x: bound_report(1.0, x, 0.1, 100), True, np.float64(0.6)),
+        ("delta", lambda x: alt_parameterization(1.0, x, 100), "0.6", np.float64(0.6)),
+        ("delta", lambda x: alt_parameterization(1.0, x, 100), True, np.float64(0.6)),
+        ("g_exp", lambda x: bound_report(1.0, 0.6, x, 100), "0.1", np.float64(0.1)),
+        ("g_exp", lambda x: bound_report(1.0, 0.6, x, 100), True, np.float64(0.1)),
+        ("g_exp", lambda x: bound_report(1.0, 0.6, x, 100), math.nan, np.float64(0.1)),
+        ("c", lambda x: empirical_crossover(*_CASE_II, 10**4, [x, 2.0], 2, 0, threads=1), "0.9", np.float64(0.9)),
+        ("c", lambda x: empirical_crossover(*_CASE_II, 10**4, [x, 2.0], 2, 0, threads=1), True, np.float64(0.9)),
     ],
     ids=[
         "power-law-c-nan", "family-c-bool", "power-law-c-bool", "family-p-str", "explicit-p-str", "sample-p-str", "tuple-count-p-nan",
         "missing-sum-p-str",
         "missing-sums-p-str", "janson-p-str", "bound-report-c-nan", "bound-report-c-inf",
         "alt-bounds-c-nan", "dominator-c-nan", "dominator-c-inf", "spec-sizes-int",
-        "spec-missing-none", "spec-y-str", "spec-forms-tuples",
+        "spec-missing-none", "spec-y-str", "spec-forms-tuples", "family-delta-str", "family-delta-bool",
+        "power-law-delta-str", "power-law-delta-bool", "bound-report-delta-str", "bound-report-delta-bool",
+        "alt-bounds-delta-str", "alt-bounds-delta-bool", "bound-report-g_exp-str", "bound-report-g_exp-bool",
+        "bound-report-g_exp-nan", "crossover-grid-str", "crossover-grid-bool",
     ],
 )
 def test_rates_and_flags_must_be_in_range(what, call, bad, good):
-    # NaN and infinite rates gave NaN bounds or the wrong dominator, and a
-    # string flag was truthy; numpy reals and bools pass.
-    with pytest.raises(ValueError, match=rf"^{re.escape(what)} must "):
+    # NaN and infinite rates gave NaN bounds or the wrong dominator, a
+    # string flag was truthy, a string delta or g_exp ended in a TypeError
+    # and a bool delta was kept; numpy reals and bools pass.
+    with pytest.raises(ValueError, match=rf"^{re.escape(what)} must (be|hold) "):
         call(bad)
     call(good)
 
@@ -547,11 +568,15 @@ def test_crossover_grid_validation():
         empirical_crossover(f, g, 10**4, [1.0], 10, 0)
     with pytest.raises(ValueError):
         empirical_crossover(f, g, 10**4, [2.0, 1.0], 10, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^c must be a number in \(0, 10\), got 11.0$"):
         empirical_crossover(f, g, 100, [1.0, 11.0], 10, 0)
     for grid in ([1.0, math.nan], [math.nan, 1.0]):  # NaN compares false either way
-        with pytest.raises(ValueError, match="sqrt"):
+        with pytest.raises(ValueError, match=r"^c must be a number in \(0, 100\), got nan$"):
             empirical_crossover(f, g, 10**4, grid, 10, 0)
+
+
+def test_interpolate_half_keeps_a_grid_point_at_one_half():
+    assert _interpolate_half([1.0, 2.0, 3.0], [0.2, 0.5, 0.8]) == 2.0
 
 
 def test_crossover_inconclusive_when_grid_misses():

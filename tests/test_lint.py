@@ -136,3 +136,65 @@ def test_package_checks_integers_only_in_sets():
     assert len(modules) >= 8
     found = [f"{p.name}:{line}" for p in modules for line in integer_type_checks(p)]
     assert found == []
+
+
+def raising_range_checks(path):
+    """(line, function) of each ``if`` in ``path`` whose test holds a chained
+    comparison (``a < x < b``) and whose body raises.  Function is the
+    outermost function that holds it, None outside any."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, function or child.name)
+                continue
+            if isinstance(child, ast.If):
+                chained = any(isinstance(n, ast.Compare) and len(n.ops) > 1 for n in ast.walk(child.test))
+                if chained and any(isinstance(n, ast.Raise) for s in child.body for n in ast.walk(s)):
+                    found.append((child.lineno, function))
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_raising_range_checks_flags_chained_comparisons_that_raise(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def f(x, lo, hi):\n"
+        "    if not lo < x < hi:\n"
+        "        raise ValueError(x)\n"
+        "    if x < hi:\n"
+        "        raise ValueError(x)\n"
+        "    if x is None or not all(lo <= y <= hi for y in x):\n"
+        "        if x:\n"
+        "            raise ValueError(x)\n"
+        "    if lo < x < hi:\n"
+        "        return x\n"
+        "def p_of(y):\n"
+        "    def check():\n"
+        "        if not 0 < y < 1:\n"
+        "            raise ValueError(y)\n"
+        "if not 0 < 1 < 2:\n"
+        "    raise SystemExit\n",
+        encoding="utf-8",
+    )
+    assert raising_range_checks(module) == [(2, "f"), (6, "f"), (13, "p_of"), (15, None)]
+
+
+# The range checks that stay hand-written, by function: p_of checks the p it
+# computes from N, not an argument, and its message names that N;
+# asymptotic_bundle checks that a declared regime's prediction lies in
+# [0, span], a contradiction between regime and N*p^2, not a bad argument.
+_COMPUTED_RANGE_CHECKS = {"p_of", "asymptotic_bundle"}
+
+
+def test_package_checks_argument_ranges_only_in_sets():
+    # every argument's range is a bound of sets._integer or sets._real, so a
+    # hand-written check elsewhere is a copy that can drift from them
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "sets.py")
+    assert len(modules) >= 8
+    flagged = [(p.name, line, function) for p in modules for line, function in raising_range_checks(p)]
+    assert [f"{name}:{line}" for name, line, function in flagged if function not in _COMPUTED_RANGE_CHECKS] == []
+    assert {function for _, _, function in flagged} == _COMPUTED_RANGE_CHECKS

@@ -286,6 +286,14 @@ def test_bundle_form_prediction_threshold_regime():
     assert df == pytest.approx(g_form(2, 1, 4.0 / 2.0) * 10**6)
 
 
+def test_bundle_at_tiny_c_takes_the_limit_zero():
+    # c^2 underflows to 0 below c ~ 5e-162; the image sizes' limit there is 0
+    g = LinearForm((5, -1))
+    bundle = asymptotic_bundle(10**6, PFamily.power_law(1e-200, 0.5), (g,))
+    assert bundle.S_pred == bundle.D_pred == 0.0
+    assert bundle.form_prediction(g) == (0.0, 6 * 10**6)
+
+
 # S, D, Sc, Dc as float.hex, recorded before the per-form rule replaced the
 # per-regime formulas: the rule reproduces them bit for bit.
 PINNED_BUNDLES = [

@@ -125,6 +125,14 @@ def test_dominator_at_sides_of_root():
         assert dominator_at(F43, G51, c) == F43
 
 
+def test_dominator_at_tiny_c_is_a_tie():
+    # below c ~ 5e-162, c^2 underflows to 0 and both sizes take their limit
+    # 0 there: a tie, as at every c below ~1e-5
+    assert dominator_at(F43, G51, 1e-5) is None
+    assert dominator_at(F43, G51, 1e-200) is None
+    assert regime_dominator(F43, G51, PFamily.power_law(1e-200, 0.5)).dominator is None
+
+
 def test_dominator_at_tie_for_matching_profiles():
     f, g = LinearForm((3, 2)), LinearForm((3, -2))
     for c in (0.01, 0.5, 3.0, 40.0):
