@@ -26,7 +26,7 @@ from .experiments import (
     run_trial,
     verify_bounds,
 )
-from .predictions import asymptotic_bundle
+from .predictions import REGIMES, asymptotic_bundle
 from .sampling import PFamily
 from .sets import LinearForm, _domination_label
 from .thresholds import classify_pair
@@ -59,13 +59,10 @@ def _add_family_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _family_from(args) -> PFamily:
-    if args.p is not None:
-        if args.c is not None or args.delta is not None:
-            raise ValueError("give either --p or --c/--delta, not both")
-        return PFamily.explicit(args.p)
-    if args.c is None or args.delta is None:
+    if args.p is None and args.c is None and args.delta is None:
         raise ValueError("family required: --p P, or --c C --delta D")
-    return PFamily.power_law(args.c, args.delta)
+    variant = "power-law" if args.p is None else "explicit"
+    return PFamily(variant, p=args.p, c=args.c, delta=args.delta)
 
 
 def build_parser() -> _Parser:
@@ -82,7 +79,7 @@ def build_parser() -> _Parser:
     pp = sub.add_parser("predict", help="closed-form prediction table")
     pp.add_argument("--n", type=int, required=True)
     _add_family_flags(pp)
-    pp.add_argument("--regime", choices=("below", "at", "above"),
+    pp.add_argument("--regime", choices=REGIMES,
                     help="required with --p (asymptotic class is undecidable from one point)")
     pp.add_argument("--form", action="append", type=_parse_form, default=[])
 

@@ -55,8 +55,10 @@ class StatisticsSpec:
                 raise ValueError(f"{name} must be a boolean, got {flag!r}")
             object.__setattr__(self, name, bool(flag))
         object.__setattr__(self, "max_k", _integer(self.max_k, "max_k", 0, MAX_K))
-        if not all(isinstance(f, LinearForm) for f in self.forms):
-            raise ValueError(f"forms must hold LinearForms, got {self.forms!r}")
+        forms = self.forms
+        if not isinstance(forms, (tuple, list)) or not all(isinstance(f, LinearForm) for f in forms):
+            raise ValueError(f"forms must hold LinearForms, got {forms!r}")
+        object.__setattr__(self, "forms", tuple(forms))
         if len(set(self.forms)) < len(self.forms):
             raise ValueError(f"repeated form in {[str(f) for f in self.forms]}")
 
@@ -72,11 +74,16 @@ class ExperimentConfig:
     threads: int | str = "auto"
 
     def __post_init__(self):
+        for name, kind in (("family", PFamily), ("statistics", StatisticsSpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         object.__setattr__(self, "n_list", tuple(_integer(n, "N", least=1) for n in self.n_list))
         object.__setattr__(self, "trials", _integer(self.trials, "trials", least=1))
         if not self.n_list:
             raise ValueError("n_list must not be empty")
-        for n in self.n_list:
+        for i, n in enumerate(self.n_list):
+            if n in self.n_list[:i]:
+                raise ValueError(f"N = {n} is repeated in n_list {list(self.n_list)}")
             p_of(self.family, n)  # a p outside (0, 1) is refused before any worker starts
         object.__setattr__(self, "seed", SamplerSeed(self.seed).seed)
         if self.output not in ("csv", "json"):
@@ -203,20 +210,21 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     total = 2 * n + 1
 
     # One call for every image and histogram, so that they share A's spectrum
-    # at each FFT length.  The forms come between the sizes and the
-    # histograms, so that no histogram is held during a form's FFT.  A form
-    # that is also a sized kind, (1,1) or (1,-1), is requested once.
-    sized = [KIND_FORMS[kind] for kind in ("sum", "diff")] if spec.sizes or spec.missing else []
-    images = list(dict.fromkeys(sized + list(spec.forms)))
+    # at each FFT length.  Each form is requested once: as counts if its
+    # histogram is collected, its size then the histogram's support, else as
+    # marks.  Marks come first, so no histogram is held during another FFT.
     kinds = ["diff"] * (spec.max_k > 0 or spec.y) + ["sum"] * (spec.max_k > 0)
-    requests = [(f.coeffs, False) for f in images] + [(KIND_FORMS[k].coeffs, True) for k in kinds]
+    counted = {KIND_FORMS[kind]: kind for kind in kinds}
+    sized = [KIND_FORMS[kind] for kind in ("sum", "diff")] if spec.sizes or spec.missing else []
+    images = [f for f in dict.fromkeys(sized + list(spec.forms)) if f not in counted]
+    requests = [(f.coeffs, False) for f in images] + [(f.coeffs, True) for f in counted]
     results = _self_pair_sums(a, requests)
     sizes = {f: int(np.count_nonzero(next(results)[0])) for f in images}
     hists = {kind: _histogram(a, kind, *next(results)) for kind in kinds}
+    sizes.update((f, hists[kind].support_size()) for f, kind in counted.items())
 
-    sum_size = diff_size = miss_s = miss_d = None
-    if sized:
-        sum_size, diff_size = (sizes[f] for f in sized)
+    sum_size, diff_size = (sizes[f] for f in sized) if sized else (None, None)
+    miss_s = miss_d = None
     if spec.missing:
         miss_s = total - sum_size
         miss_d = total - diff_size
@@ -232,10 +240,9 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     if "sum" in hists:
         sums = multiplicity_profile(hists["sum"])
         xs = tuple(_tuple_count(sums, k) for k in range(1, spec.max_k + 1))
-        if a.count:  # without image sizes, the histograms' supports are checked
-            _check_partial_sum_identity(sum_size or hists["sum"].support_size(), xs, 0, "sums")
-            diff_support = diff_size or hists["diff"].support_size()
-            _check_partial_sum_identity(diff_support, xps, 1, "differences")
+        if a.count:
+            _check_partial_sum_identity(sizes[KIND_FORMS["sum"]], xs, 0, "sums")
+            _check_partial_sum_identity(sizes[KIND_FORMS["diff"]], xps, 1, "differences")
 
     return TrialRecord(
         n=n,

@@ -51,13 +51,16 @@ class PFamily:
     delta: float | None = None
 
     def __post_init__(self):
+        if self.variant not in ("explicit", "power-law"):
+            raise ValueError(f"unknown family variant {self.variant!r}")
+        for name in ("c", "delta") if self.variant == "explicit" else ("p",):
+            if (value := getattr(self, name)) is not None:
+                raise ValueError(f"the {self.variant} family takes no {name}, got {value!r}")
         if self.variant == "explicit":
             object.__setattr__(self, "p", _real(self.p, "p", hi=1.0))
-        elif self.variant == "power-law":
+        else:
             object.__setattr__(self, "c", _real(self.c, "c"))
             object.__setattr__(self, "delta", _real(self.delta, "delta", 0.0, 1.0, closed=True))
-        else:
-            raise ValueError(f"unknown family variant {self.variant!r}")
 
     @classmethod
     def explicit(cls, p: float) -> "PFamily":

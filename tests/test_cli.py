@@ -244,12 +244,16 @@ def _without(doc, key):
         ("delta", {**_CONFIG, "family": {"variant": "power-law", "c": 1.0}}),
         ("'variant' is required", {**_CONFIG, "family": {"p": 0.5}}),
         ("JSON object", [_CONFIG]),
+        ("the explicit family takes no c, got 3",
+         {**_CONFIG, "family": {"variant": "explicit", "p": 0.5, "c": 3, "delta": 7}}),
+        ("N = 30 is repeated", {**_CONFIG, "n_list": [30, 30]}),
     ],
     ids=[
         "sizes-string", "missing-int", "y-string", "xk-float", "forms-float",
         "n_list-float", "n_list-number", "n_list-bool", "trials-float", "trials-string",
         "trials-bool", "trials-missing", "seed-float", "threads-float", "threads-bool", "family-missing",
         "p-string", "c-bool", "delta-missing", "variant-missing", "list-document",
+        "explicit-family-with-c-delta", "n_list-repeated",
     ],
 )
 def test_sweep_config_field_types(tmp_path, capsys, field, doc):
@@ -324,6 +328,20 @@ def test_bad_parameters_are_usage_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("sumdiff: error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n", "100", "--p", "0.5", "--c", "1"), "the explicit family takes no c, got 1.0\n"),
+        (("--n", "100", "--n", "100", "--c", "1", "--delta", "0.5"),
+         "N = 100 is repeated in n_list [100, 100]\n"),
+    ],
+    ids=["p-with-c", "repeated-n"],
+)
+def test_sweep_refuses_what_the_library_refuses(capsys, argv, message):
+    argv = ("sweep", *argv, "--trials", "3", "--threads", "1", "--stats", "sizes")
+    assert run_cli(capsys, *argv) == (1, "", f"sumdiff: error: {message}")
 
 
 def test_sweep_needs_n_or_config(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import re
@@ -37,6 +38,7 @@ from sumdiff import (
     tuple_statistic,
     verify_bounds,
 )
+from sumdiff import experiments
 from sumdiff.bounds import alt_parameterization, bound_report
 from sumdiff.experiments import _interpolate_half
 from sumdiff.predictions import (
@@ -122,6 +124,57 @@ def test_run_trial_collisions_match_histograms(spec):
         assert rec.y == (repeated_gap_pairs(diffs) if spec.y else None)
         assert rec.sumset_size == (sumset(a).count if spec.sizes else None)
         assert rec.diffset_size == (diffset(a).count if spec.sizes else None)
+
+
+_GRID_FORMS = [LinearForm(c) for c in ((1, 1), (1, -1), (2, -1), (1, 1, 1))]
+
+
+@pytest.mark.parametrize(
+    "sizes, missing, max_k, y",
+    list(itertools.product([False, True], [False, True], [0, 2], [False, True])),
+)
+def test_trial_requests_each_form_once(monkeypatch, sizes, missing, max_k, y):
+    # A form whose histogram is collected is requested once, as counts, and
+    # its size is that histogram's support; marks come before counts.
+    requested = []
+    real = experiments._self_pair_sums
+
+    def spy(a, requests):
+        requested.append(list(requests))
+        return real(a, requests)
+
+    monkeypatch.setattr(experiments, "_self_pair_sums", spy)
+    a = sample(300, 0.1, SamplerSeed(5))
+    for r in range(len(_GRID_FORMS) + 1):
+        for forms in itertools.combinations(_GRID_FORMS, r):
+            spec = StatisticsSpec(sizes=sizes, missing=missing, max_k=max_k, forms=forms, y=y)
+            rec = run_trial(ExperimentConfig((300,), PFamily.explicit(0.1), 1, 5, spec), 300, 0)
+            (requests,) = requested
+            requested.clear()
+            coeffs, counts = zip(*requests) if requests else ((), ())
+            assert len(set(coeffs)) == len(coeffs), spec
+            assert list(counts) == sorted(counts), spec
+            sized = sizes or missing
+            assert rec.sumset_size == (sumset(a).count if sized else None)
+            assert rec.diffset_size == (diffset(a).count if sized else None)
+            assert rec.form_sizes == {f: form_image(a, f).count for f in forms}
+
+
+def test_config_is_hashable_with_a_list_of_forms():
+    # the list was kept, so hashing the frozen config raised TypeError
+    spec = StatisticsSpec(forms=[LinearForm((2, -1))])
+    assert spec.forms == (LinearForm((2, -1)),)
+    config = ExperimentConfig((10,), PFamily.explicit(0.5), 1, 0, statistics=spec)
+    assert hash(config) == hash(ExperimentConfig((10,), PFamily.explicit(0.5), 1, 0, statistics=spec))
+
+
+def test_config_rejects_repeated_n():
+    # each repeated trial was written twice, the same set under the same seed
+    with pytest.raises(ValueError, match=r"^N = 100 is repeated in n_list \[100, 300, 100\]"):
+        ExperimentConfig((100, 300, 100), PFamily.explicit(0.5), 3, 0)
+    doc = {"n_list": [100, 100], "family": {"variant": "explicit", "p": 0.5}, "trials": 3}
+    with pytest.raises(ValueError, match=r"^N = 100 is repeated"):
+        config_from_dict(doc)
 
 
 def test_statistics_spec_validation():
@@ -403,6 +456,9 @@ def test_counts_must_be_integers(what, call, bad, good):
         ("missing", lambda x: StatisticsSpec(missing=x), None, np.True_),
         ("y", lambda x: StatisticsSpec(y=x), "no", np.True_),
         ("forms", lambda x: StatisticsSpec(forms=x), ((2, -1),), (LinearForm((2, -1)),)),
+        ("forms", lambda x: StatisticsSpec(forms=x), LinearForm((2, -1)), [LinearForm((2, -1))]),
+        ("family", lambda x: small_config(family=x), "junk", PFamily.explicit(0.5)),
+        ("statistics", lambda x: small_config(statistics=x), "x", StatisticsSpec()),
         ("delta", lambda x: PFamily("power-law", c=1.0, delta=x), "0.5", np.float64(0.5)),
         ("delta", lambda x: PFamily("power-law", c=1.0, delta=x), True, np.float64(0.5)),
         ("delta", lambda x: PFamily.power_law(1.0, x), "0.5", np.float64(0.5)),
@@ -422,7 +478,8 @@ def test_counts_must_be_integers(what, call, bad, good):
         "missing-sum-p-str",
         "missing-sums-p-str", "janson-p-str", "bound-report-c-nan", "bound-report-c-inf",
         "alt-bounds-c-nan", "dominator-c-nan", "dominator-c-inf", "spec-sizes-int",
-        "spec-missing-none", "spec-y-str", "spec-forms-tuples", "family-delta-str", "family-delta-bool",
+        "spec-missing-none", "spec-y-str", "spec-forms-tuples", "spec-forms-form", "config-family-str",
+        "config-statistics-str", "family-delta-str", "family-delta-bool",
         "power-law-delta-str", "power-law-delta-bool", "bound-report-delta-str", "bound-report-delta-bool",
         "alt-bounds-delta-str", "alt-bounds-delta-bool", "bound-report-g_exp-str", "bound-report-g_exp-bool",
         "bound-report-g_exp-nan", "crossover-grid-str", "crossover-grid-bool",
@@ -430,8 +487,9 @@ def test_counts_must_be_integers(what, call, bad, good):
 )
 def test_rates_and_flags_must_be_in_range(what, call, bad, good):
     # NaN and infinite rates gave NaN bounds or the wrong dominator, a
-    # string flag was truthy, a string delta or g_exp ended in a TypeError
-    # and a bool delta was kept; numpy reals and bools pass.
+    # string flag was truthy, a string delta or g_exp ended in a TypeError,
+    # a bool delta was kept and a string family or statistics failed later;
+    # numpy reals and bools pass.
     with pytest.raises(ValueError, match=rf"^{re.escape(what)} must (be|hold) "):
         call(bad)
     call(good)

@@ -49,6 +49,21 @@ def test_family_validation():
         PFamily("made-up")
 
 
+@pytest.mark.parametrize(
+    "variant, fields, name",
+    [
+        ("explicit", dict(p=0.5, c="junk", delta=True), "c"),
+        ("explicit", dict(p=0.5, delta=0.5), "delta"),
+        ("power-law", dict(p="junk", c=1.0, delta=0.5), "p"),
+    ],
+    ids=["explicit-c", "explicit-delta", "power-law-p"],
+)
+def test_family_refuses_the_other_variants_fields(variant, fields, name):
+    # they were kept unchecked and unused
+    with pytest.raises(ValueError, match=rf"^the {variant} family takes no {name}, got "):
+        PFamily(variant, **fields)
+
+
 def test_seed_validation():
     with pytest.raises(ValueError):
         SamplerSeed(-1)

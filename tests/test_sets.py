@@ -398,10 +398,11 @@ def test_fft_guard_falls_back_to_pairs(monkeypatch):
     assert dict(rep_histogram(a, "diff").nonzero_items()) == dict(diff_rep_counts(elems))
     assert list(diffset(a)) == diffset_oracle(elems)
     assert len(attempts) == 2 and all(out is None for out in attempts)
-    # a trial whose every FFT fails the check equals the exact one: the two
-    # sizes, the form and the two histograms all fell back to direct pairs
+    # a trial whose every FFT fails the check equals the exact one: the form
+    # and the two histograms, whose supports are the sizes, fell back to
+    # direct pairs
     assert run_trial(config, 2000, 0) == exact_record
-    assert len(attempts) == 7 and all(out is None for out in attempts)
+    assert len(attempts) == 5 and all(out is None for out in attempts)
 
 
 def test_fft_fallback_is_priced(monkeypatch):
@@ -569,23 +570,26 @@ def test_direct_pairs_stay_within_their_price(monkeypatch, count):
 @pytest.mark.parametrize(
     "forms, max_k, forward, inverse",
     [
+        ([], 2, 1, 2),
         ([(2, -1)], 0, 2, 3),
-        ([(2, -1)], 2, 3, 5),
+        ([(2, -1)], 2, 2, 3),
         ([(2, -1), (1, -1)], 0, 2, 3),
         ([(1, 1, 1)], 0, 3, 4),
-        ([(1, 1, 1)], 2, 4, 6),
+        ([(1, 1, 1)], 2, 4, 4),
     ],
-    ids=["sizes-form", "sizes-form-xk2", "sizes-form-diff", "sizes-kary", "sizes-kary-xk2"],
+    ids=["sizes-xk2", "sizes-form", "sizes-form-xk2", "sizes-form-diff", "sizes-kary",
+         "sizes-kary-xk2"],
 )
 def test_trial_shares_spectrum_per_fft_length(monkeypatch, forms, max_k, forward, inverse):
     # At N = 2e5 the sum and difference sets share one FFT length and the
     # (2,-1) image needs a longer one: the sizes and the form take 2 forward
-    # transforms.  The histograms come after the form, so they take A's
-    # spectrum at the first length once more.  The form (1,-1) is the
-    # difference set, already requested for the sizes, so it costs nothing.
-    # The (1,1,1) image starts from A+A at the sizes' length, then folds in
-    # A by two indicator transforms; X is dropped before the fold, so the
-    # histograms take it again.
+    # transforms.  With xk:2 the sizes are the histograms' supports, so A+A
+    # and A-A are each requested once, as counts; they come after the form,
+    # so they take A's spectrum at the first length once more.  The form
+    # (1,-1) is the difference set, already requested for the sizes, so it
+    # costs nothing.  The (1,1,1) image starts from A+A at the sizes'
+    # length, then folds in A by two indicator transforms; X is dropped
+    # before the fold, so the sizes or histograms take it again.
     calls = {}
     for name in ("rfft", "irfft"):
         def counted(*args, real=getattr(np.fft, name), name=name, **kwargs):
