@@ -26,8 +26,8 @@ from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
-from .sets import KIND_FORMS, LinearForm, _grown_images, _histogram, _self_pair_sums
-from .sets import _integer, _real, _tuple_count, multiplicity_profile
+from .sets import KIND_FORMS, LinearForm, _grown_images, _profile, _self_pair_sums, _size
+from .sets import _integer, _real, _tuple_count
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
 from .thresholds import classify_pair
@@ -77,6 +77,8 @@ class ExperimentConfig:
         for name, kind in (("family", PFamily), ("statistics", StatisticsSpec)):
             if not isinstance(getattr(self, name), kind):
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if not isinstance(self.n_list, (list, tuple)):
+            raise ValueError(f"n_list must be a list or tuple of integers, got {self.n_list!r}")
         object.__setattr__(self, "n_list", tuple(_integer(n, "N", least=1) for n in self.n_list))
         object.__setattr__(self, "trials", _integer(self.trials, "trials", least=1))
         if not self.n_list:
@@ -219,9 +221,12 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     images = [f for f in dict.fromkeys(sized + list(spec.forms)) if f not in counted]
     requests = [(f.coeffs, False) for f in images] + [(f.coeffs, True) for f in counted]
     results = _self_pair_sums(a, requests)
-    sizes = {f: int(np.count_nonzero(next(results)[0])) for f in images}
-    hists = {kind: _histogram(a, kind, *next(results)) for kind in kinds}
-    sizes.update((f, hists[kind].support_size()) for f, kind in counted.items())
+    sizes = {f: _size(next(results)[0]) for f in images}
+    profiles = {}
+    for f, kind in counted.items():
+        counts, lo = next(results)
+        sizes[f] = _size(counts)
+        profiles[kind] = _profile(a, kind, counts, lo)
 
     sum_size, diff_size = (sizes[f] for f in sized) if sized else (None, None)
     miss_s = miss_d = None
@@ -233,12 +238,12 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
 
     xs = xps = ()
     y = None
-    if "diff" in hists:
-        gaps = multiplicity_profile(hists["diff"])
+    if "diff" in profiles:
+        gaps = profiles["diff"]
         xps = tuple(_tuple_count(gaps, k) for k in range(1, spec.max_k + 1))
         y = _tuple_count(gaps, 2) // 2 if spec.y else None  # repeated_gap_pairs
-    if "sum" in hists:
-        sums = multiplicity_profile(hists["sum"])
+    if "sum" in profiles:
+        sums = profiles["sum"]
         xs = tuple(_tuple_count(sums, k) for k in range(1, spec.max_k + 1))
         if a.count:
             _check_partial_sum_identity(sizes[KIND_FORMS["sum"]], xs, 0, "sums")
@@ -581,6 +586,9 @@ def empirical_crossover(
     grid = [_real(c, "c", hi=sqrt_n) for c in c_grid]
     if len(grid) < 2 or sorted(grid) != grid:
         raise ValueError("c_grid must be ascending with at least two points")
+    for c, after in zip(grid, grid[1:]):
+        if c == after:
+            raise ValueError(f"c = {c:g} is repeated in c_grid")
     _check_threads(threads)
     task = partial(_crossover_task, (f, g), n, tuple(c / sqrt_n for c in grid), seed)
     wins = np.sum(_run_tasks(task, range(trials), threads), axis=0)

@@ -4,11 +4,14 @@ An :class:`IntegerSet` stores a subset of an integer interval ``[lo, hi]``
 as its sorted member array.  Every image (sumset, difference set, linear-
 form image) and every representation histogram is the support, or the
 values, of a convolution of dilated indicator vectors of A.  One primitive
-computes it: by direct pair sums for small sets, by a real FFT whose
-rounding is checked to be exact for large ones.  It prices each call by
-the branch it runs, in time and in memory, and refuses a call that exceeds
-either budget.  Callers that need only an image's size count its marks
-without building the member array.
+computes it by the cheapest of three branches: direct pair sums into an
+array as wide as the image interval, for small sets in narrow intervals;
+the sorted pair sums, which hold only the values some pair makes, for
+small sets in wide intervals; and a real FFT whose rounding is checked to
+be exact, for large sets.  It prices each call by the branch it runs, in
+time and in memory, and refuses a call that exceeds either budget.
+Callers read a result's size and multiplicity profile without building
+the member array, whichever branch made it.
 
 The images and histograms of one set share its spectrum X, the rfft of
 A's indicator, taken once per FFT length: the pair sums under (u, v) are
@@ -54,10 +57,20 @@ _FFT_BYTES_PER_SLOT = 24 + 17
 # 10^7 sums, into one reused buffer.
 _CHUNK_ENTRIES = 10**7
 
-# Direct pairs run unless |left|*|right| > this * nfft*log2(nfft): the cost
-# of one FFT step over the cost of one pair, measured near the break-even
-# at N = 10^6, |A| ~ 6000 (4-5 ns over 5-6 ns; see the table in CHANGES.md).
+# The cost of one FFT step (of nfft*log2(nfft)) in units of one direct pair,
+# measured near the break-even at N = 10^6, |A| ~ 6000 (4-5 ns over 5-6 ns;
+# see the table in CHANGES.md).
 _PAIRS_PER_FFT_STEP = 0.8
+
+# The cost of one sorted-pairs step (of pairs*log2(pairs)) in units of one
+# direct pair: forming, sorting and comparing the sums, 0.47-0.95 ns a step
+# over 2.8-4.3 ns a pair (see the table in CHANGES.md).
+_PAIRS_PER_SORT_STEP = 0.2
+
+# The cost of one value of the interval to the direct branch, in units of
+# one pair: zeroing, scattering into and counting its marks (index 0,
+# 0.05-0.13 ns) or counts (index 1, 0.2-0.6 ns).
+_PAIRS_PER_SLOT = (0.03, 0.1)
 
 
 class IntegerSet:
@@ -85,13 +98,6 @@ class IntegerSet:
         members.flags.writeable = False
         self._members = members
         return self
-
-    @classmethod
-    def from_bool(cls, bits: np.ndarray, lo: int) -> "IntegerSet":
-        """Build from a boolean membership array starting at ``lo``."""
-        members = np.flatnonzero(bits).astype(np.int64, copy=False)
-        members += lo
-        return cls.__new__(cls)._assign(members, lo, int(lo) + len(bits) - 1)
 
     @classmethod
     def from_members(cls, members: np.ndarray, lo: int, hi: int) -> "IntegerSet":
@@ -264,6 +270,7 @@ class RepHistogram:
         self.counts.flags.writeable = False
 
     def count(self, value: int) -> int:
+        value = _integer(value, "value")
         if value < self.domain_lo or value > self.domain_hi:
             return 0
         return int(self.counts[value - self.domain_lo])
@@ -292,7 +299,8 @@ def diffset(a: IntegerSet) -> IntegerSet:
 
 def form_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
     """{u1*a1 + ... + uk*ak : ai in A} over its exact representable interval."""
-    return IntegerSet.from_bool(*next(_self_pair_sums(a, [(form.coeffs, False)])))
+    marks, lo = next(_self_pair_sums(a, [(form.coeffs, False)]))
+    return IntegerSet.from_members(_support(marks, lo), lo, _image_interval(a.lo, a.hi, form.coeffs)[1])
 
 
 def _image_interval(lo: int, hi: int, coeffs: tuple[int, ...]) -> tuple[int, int]:
@@ -302,11 +310,11 @@ def _image_interval(lo: int, hi: int, coeffs: tuple[int, ...]) -> tuple[int, int
 
 def _self_pair_sums(
     a: IntegerSet, requests: Sequence[tuple[tuple[int, ...], bool]]
-) -> Iterator[tuple[np.ndarray, int]]:
+) -> Iterator[tuple[np.ndarray | _Sorted, int]]:
     """For each request (coeffs, count) in turn, the pair sums of A under
     ``coeffs`` over their image interval, and its lo: ordered-pair counts if
-    ``count`` (binary ``coeffs`` only), else marks.  Each is yielded before
-    the next request runs.
+    ``count`` (binary ``coeffs`` only), else marks, dense or sorted (see
+    _pair_sums).  Each is yielded before the next request runs.
 
     Every request starts from the pair sums of its first two coefficients,
     which share A's spectrum X at each FFT length and reuse its arrays: X, a
@@ -339,7 +347,7 @@ def _self_pair_sums(
         sums = _pair_sums(u * members, v * members, lo, hi, count, None, spectrum)
         for j in range(2, len(coeffs)):
             part_lo, (lo, hi) = lo, _image_interval(a.lo, a.hi, coeffs[: j + 1])
-            sums = _pair_sums(np.flatnonzero(sums) + part_lo, coeffs[j] * members, lo, hi, False)
+            sums = _pair_sums(_support(sums, part_lo), coeffs[j] * members, lo, hi, False)
         yield sums, lo
         del sums  # not held while the next request runs
 
@@ -410,38 +418,48 @@ def _grown_images(
 def _pair_sums(
     left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
     out: np.ndarray | None = None, spectrum: Callable | None = None,
-) -> np.ndarray:
+) -> np.ndarray | _Sorted:
     """Pair sums left[i] + right[j] over the values [lo, hi].
 
     Returns, for each value, the number of pairs summing to it (int64), or
-    whether one does (bool) when ``count`` is false.  ``left`` and ``right``
-    each hold distinct values, and every sum must lie in [lo, hi].  Given
-    ``out`` (of that width and dtype), the result is added into it and
-    ``out`` is returned: counts accumulate, marks are OR-ed in.  Given
-    ``spectrum``, the FFT branch takes its product spectrum from it (see
-    _fft_pair_sums).
+    whether one does (bool) when ``count`` is false: as an array over
+    [lo, hi], or, from the sorted branch, as a _Sorted holding only the
+    values some pair makes.  _size, _support and _profile read either.
+    ``left`` and ``right`` each hold distinct values, and every sum must
+    lie in [lo, hi].  Given ``out`` (of that width and dtype), the result is
+    added into it and ``out`` is returned: counts accumulate, marks are
+    OR-ed in.  Given ``spectrum``, the FFT branch takes its product
+    spectrum from it (see _fft_pair_sums).
 
-    Direct pairs cost |left|*|right|; a real-FFT convolution costs
-    _PAIRS_PER_FFT_STEP*nfft*log2(nfft).  The cheaper branch runs, and an
-    FFT result that does not round to exact integers falls back to direct
-    pairs.  This is the package's only cost model: before allocating
-    anything, each branch raises ResourceBudgetError if its cost exceeds
-    the pair budget or its memory (the result, plus the FFT's workspace or
-    the direct branch's, see _direct_bytes) exceeds the memory budget.
+    Direct pairs cost |left|*|right| plus _PAIRS_PER_SLOT per value of the
+    interval; sorted pairs cost _PAIRS_PER_SORT_STEP*pairs*log2(pairs); a
+    real-FFT convolution costs _PAIRS_PER_FFT_STEP*nfft*log2(nfft).  The
+    cheapest branch runs, the sorted one only without ``out``, and an FFT
+    result that does not round to exact integers falls back to the cheaper
+    of the other two.  This is the package's only cost model: before
+    allocating anything, each branch raises ResourceBudgetError if its cost
+    exceeds the pair budget or its memory (the result, plus the FFT's
+    workspace or the direct branch's, see _direct_bytes and _sorted_bytes)
+    exceeds the memory budget.
     """
     width = hi - lo + 1
-    result_bytes = width * (8 if count else 1)
     pairs = left.size * right.size
     nfft = _fft_length(width)
     fft_cost = _PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)
-    if pairs > fft_cost:
-        fft_bytes = result_bytes + _FFT_BYTES_PER_SLOT * nfft
+    direct_cost = pairs + _PAIRS_PER_SLOT[count] * width
+    sorted_cost = math.inf if out is not None else _PAIRS_PER_SORT_STEP * pairs * math.log2(max(pairs, 2))
+    if pairs and fft_cost < min(direct_cost, sorted_cost):
+        fft_bytes = width * (8 if count else 1) + _FFT_BYTES_PER_SLOT * nfft
         _check_budget(fft_cost, fft_bytes, f"an FFT of length {nfft}")
         found = _fft_pair_sums(left, right, lo, hi, count, out, spectrum)
         if found is not None:
             return found
+    if sorted_cost < direct_cost:
+        sorted_bytes = _sorted_bytes(pairs, width, count)
+        _check_budget(sorted_cost, sorted_bytes, f"{left.size} x {right.size} sorted pairs")
+        return _sorted_pair_sums(left, right, lo, count)
     direct_bytes = _direct_bytes(left.size, right.size, width, count)
-    _check_budget(pairs, direct_bytes, f"{left.size} x {right.size} direct pairs")
+    _check_budget(direct_cost, direct_bytes, f"{left.size} x {right.size} direct pairs")
     return _direct_pair_sums(left, right, lo, hi, count, out)
 
 
@@ -484,6 +502,62 @@ def _direct_pair_sums(
         else:
             out[sums.ravel()] = True
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class _Sorted:
+    """A result of the sorted branch: the distinct pair sums' offsets from
+    lo, ascending, and, for counts, how many pairs make each."""
+
+    offsets: np.ndarray
+    runs: np.ndarray | None = None
+
+
+def _sorted_bytes(pairs: int, width: int, count: bool) -> int:
+    """Peak memory of _sorted_pair_sums: the int64 sums and a flag per pair,
+    then 8 bytes (marks) or 16 (counts) per distinct sum, of which there are
+    at most min(pairs, width)."""
+    return 9 * pairs + (16 if count else 8) * min(pairs, width)
+
+
+def _sorted_pair_sums(left: np.ndarray, right: np.ndarray, lo: int, count: bool) -> _Sorted:
+    """The sorted branch of _pair_sums: all pair sums, sorted, with each run
+    of equal sums kept once."""
+    sums = np.add.outer(left, right).ravel()
+    sums.sort()
+    new = np.empty(sums.size, dtype=bool)  # differs from the sum before it
+    new[:1] = True
+    np.not_equal(sums[1:], sums[:-1], out=new[1:])
+    if not count:
+        offsets = sums[new]
+        offsets -= lo
+        return _Sorted(offsets)
+    runs = np.flatnonzero(new)  # where each run starts, then how long it is
+    del new
+    offsets = sums[runs]
+    offsets -= lo
+    pairs = sums.size
+    del sums
+    runs[:-1] = np.diff(runs)
+    runs[-1:] = pairs - runs[-1:]
+    return _Sorted(offsets, runs)
+
+
+def _size(result: np.ndarray | _Sorted) -> int:
+    """How many values a _pair_sums result holds."""
+    return result.offsets.size if isinstance(result, _Sorted) else int(np.count_nonzero(result))
+
+
+def _support(result: np.ndarray | _Sorted, lo: int) -> np.ndarray:
+    """The values, ascending, that a _pair_sums result over [lo, ...) holds."""
+    values = result.offsets.copy() if isinstance(result, _Sorted) else np.flatnonzero(result)
+    values += lo
+    return values
+
+
+def _index(result: np.ndarray | _Sorted, offsets):
+    """Where the values at ``offsets`` from lo sit in a counts result's counts."""
+    return np.searchsorted(result.offsets, offsets) if isinstance(result, _Sorted) else offsets
 
 
 def _fft_length(width: int) -> int:
@@ -544,18 +618,36 @@ def _indicator_product(
 def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> RepHistogram:
     """Representation histogram of A under the given operation."""
     coeffs = kind_form(kind, form).coeffs
-    return _histogram(a, kind, *next(_self_pair_sums(a, [(coeffs, True)])), form)
+    lo, hi = _image_interval(a.lo, a.hi, coeffs)
+    result, _ = next(_self_pair_sums(a, [(coeffs, True)]))
+    counts = _representations(a, kind, result, lo)
+    if isinstance(result, _Sorted):  # spread over the interval, priced as direct counts
+        width = hi - lo + 1
+        spread_bytes = 8 * width + 16 * counts.size
+        _check_budget(_PAIRS_PER_SLOT[True] * width, spread_bytes, f"a histogram {width} values wide")
+        dense = np.zeros(width, dtype=np.int64)
+        dense[result.offsets] = counts
+        counts = dense
+    return RepHistogram(kind, lo, hi, counts, form=form if kind == "form" else None)
 
 
-def _histogram(
-    a: IntegerSet, kind: str, counts: np.ndarray, lo: int, form: LinearForm | None = None
-) -> RepHistogram:
-    """The histogram of ``kind`` from the ordered pair counts of its form over [lo, ...)."""
+def _representations(a: IntegerSet, kind: str, result: np.ndarray | _Sorted, lo: int) -> np.ndarray:
+    """R(value) of the ``kind`` histogram at each value that the ordered pair
+    counts ``result`` of its form, over [lo, ...), hold: made unordered in
+    place for kind="sum"."""
+    counts = result.runs if isinstance(result, _Sorted) else result
     if kind == "sum":
         # ordered pairs count {a1, a2} twice and (a, a) once
-        counts[2 * a.members() - lo] += 1
+        counts[_index(result, 2 * a.members() - lo)] += 1
         counts //= 2
-    return RepHistogram(kind, lo, lo + counts.size - 1, counts, form=form if kind == "form" else None)
+    return counts
+
+
+def _profile(a: IntegerSet, kind: str, result: np.ndarray | _Sorted, lo: int) -> dict[int, int]:
+    """multiplicity_profile of the ``kind`` histogram from the ordered pair
+    counts ``result`` of its form over [lo, ...); spends ``result``."""
+    counts = _representations(a, kind, result, lo)
+    return _tally(counts, _index(result, -lo) if kind == "diff" and a.count else None)
 
 
 def multiplicity_profile(hist: RepHistogram) -> dict[int, int]:
@@ -565,10 +657,16 @@ def multiplicity_profile(hist: RepHistogram) -> dict[int, int]:
     profile.  This is the one pass over a histogram's counts: every
     collision statistic is a sum over the profile.
     """
-    keep = hist.counts > 0
-    if hist.kind == "diff" and hist.domain_lo <= 0 <= hist.domain_hi:
-        keep[-hist.domain_lo] = False
-    sizes, times = np.unique(hist.counts[keep], return_counts=True)
+    zero = hist.kind == "diff" and hist.domain_lo <= 0 <= hist.domain_hi
+    return _tally(hist.counts, -hist.domain_lo if zero else None)
+
+
+def _tally(counts: np.ndarray, zero) -> dict[int, int]:
+    """How many of ``counts``, leaving out the one at index ``zero``, equal each i >= 1."""
+    keep = counts > 0
+    if zero is not None:
+        keep[zero] = False
+    sizes, times = np.unique(counts[keep], return_counts=True)
     return dict(zip(sizes.tolist(), times.tolist()))
 
 
@@ -612,7 +710,7 @@ def classify(a: IntegerSet) -> Classification:
         raise ValueError("classification is defined for sets over [0, N]")
     n = a.hi
     images = _self_pair_sums(a, [(KIND_FORMS[kind].coeffs, False) for kind in ("sum", "diff")])
-    s, d = [int(np.count_nonzero(next(images)[0])) for _ in range(2)]
+    s, d = [_size(next(images)[0]) for _ in range(2)]
     return Classification(_domination_label(s, d), s, d, (2 * n + 1) - s, (2 * n + 1) - d)
 
 

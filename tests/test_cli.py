@@ -404,6 +404,13 @@ def test_crossover_needs_two_forms(capsys):
     )
 
 
+def test_crossover_refuses_a_repeated_grid_point(capsys):
+    # exited 0 and printed c=1 twice
+    argv = ("crossover", "--form", "4,-3", "--form", "5,-1", "--n", "10000", "--c-grid", "1,1",
+            "--trials", "2")
+    assert run_cli(capsys, *argv) == (1, "", "sumdiff: error: c = 1 is repeated in c_grid\n")
+
+
 @pytest.mark.parametrize(
     "seed, message",
     [("-1", "seed must be >= 0, got -1"),

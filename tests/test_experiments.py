@@ -5,6 +5,8 @@ import json
 import math
 import re
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +162,80 @@ def test_trial_requests_each_form_once(monkeypatch, sizes, missing, max_k, y):
             assert rec.form_sizes == {f: form_image(a, f).count for f in forms}
 
 
+def billion_member_trial(monkeypatch, members, spec):
+    """run_trial at N = 10^9 on the given members instead of a sample, and its traced peak."""
+    n = 10**9
+    a = IntegerSet.from_members(np.sort(members), 0, n)
+    monkeypatch.setattr(experiments, "sample", lambda *args: a)
+    config = ExperimentConfig((n,), PFamily.explicit(5e-7), 1, 0, spec)
+    tracemalloc.start()
+    try:
+        record = run_trial(config, n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return record, peak
+
+
+def test_sparse_trial_at_a_billion(monkeypatch):
+    # 500 members of [0, 10^9]: 100 on a grid of step 3e6, so that sums and
+    # gaps collide, and 400 odd ones spread out.  Direct marks over 2e9
+    # values were refused (2863 MiB over the 2 GiB budget); sorted pairs
+    # take every image and histogram
+    from oracles import diffset_oracle, form_image_oracle, sumset_oracle, tuple_statistic_oracle
+
+    n, rng = 10**9, np.random.default_rng(19)
+    grid = 3 * 10**6 * rng.choice(300, 100, replace=False)
+    members = np.concatenate([grid, 2 * rng.choice(n // 2, 400, replace=False) + 1])
+    spec = StatisticsSpec(max_k=3, y=True, forms=(LinearForm((2, -1)),))
+    record, peak = billion_member_trial(monkeypatch, members, spec)
+    assert peak < 16 * 2**20
+    elems = sorted(members.tolist())
+    sums, diffs = len(sumset_oracle(elems)), len(diffset_oracle(elems))
+    form = LinearForm((2, -1))
+    image = len(form_image_oracle(elems, form.coeffs))
+    gaps = Counter(b - a for a, b in itertools.combinations(elems, 2))
+    assert record == experiments.TrialRecord(
+        n=n, p=5e-7, trial_index=0, set_size=500,
+        sumset_size=sums, diffset_size=diffs, missing_sums=2 * n + 1 - sums,
+        missing_diffs=2 * n + 1 - diffs,
+        form_sizes={form: image}, form_missing={form: 3 * n - image},
+        x=tuple(tuple_statistic_oracle(elems, "sum", k) for k in (1, 2, 3)),
+        xp=tuple(tuple_statistic_oracle(elems, "diff", k) for k in (1, 2, 3)),
+        y=sum(math.comb(r, 2) for r in gaps.values()),
+    )
+    assert record.x[2] > 0 and record.y > 0
+
+
+def test_sparse_kary_trial_at_a_billion(monkeypatch):
+    # the k-ary images of 80 members of [0, 10^9] fold sorted pairs too
+    from oracles import form_image_oracle
+
+    n, rng = 10**9, np.random.default_rng(20)
+    members = np.concatenate([3 * 10**6 * rng.choice(60, 30, replace=False),
+                              2 * rng.choice(n // 2, 50, replace=False) + 1])
+    forms = (LinearForm((1, 1, 1)), LinearForm((1, -2, 1)))
+    record, peak = billion_member_trial(monkeypatch, members, StatisticsSpec(forms=forms))
+    assert peak < 16 * 2**20
+    elems = sorted(members.tolist())
+    images = {f: len(form_image_oracle(elems, f.coeffs)) for f in forms}
+    assert record.form_sizes == images
+    assert record.form_missing == {f: f.weight * n - size for f, size in images.items()}
+
+
+def test_empty_trial_at_a_billion(monkeypatch):
+    forms = (LinearForm((2, -1)), LinearForm((1, 1, 1)))
+    spec = StatisticsSpec(max_k=2, y=True, forms=forms)
+    record, peak = billion_member_trial(monkeypatch, np.array([], dtype=np.int64), spec)
+    n = 10**9
+    assert (record.set_size, record.sumset_size, record.diffset_size) == (0, 0, 0)
+    assert (record.missing_sums, record.missing_diffs) == (2 * n + 1, 2 * n + 1)
+    assert record.form_sizes == dict.fromkeys(forms, 0)
+    assert record.form_missing == {f: f.weight * n for f in forms}
+    assert (record.x, record.xp, record.y) == ((0, 0), (0, 0), 0)
+    assert peak < 2**20
+
+
 def test_config_is_hashable_with_a_list_of_forms():
     # the list was kept, so hashing the frozen config raised TypeError
     spec = StatisticsSpec(forms=[LinearForm((2, -1))])
@@ -175,6 +251,15 @@ def test_config_rejects_repeated_n():
     doc = {"n_list": [100, 100], "family": {"variant": "explicit", "p": 0.5}, "trials": 3}
     with pytest.raises(ValueError, match=r"^N = 100 is repeated"):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize("n_list", [100, "100"], ids=["int", "str"])
+def test_config_refuses_n_list_that_is_not_a_list(n_list):
+    # an int raised a bare TypeError ("'int' object is not iterable"), and a
+    # string was read a character at a time ("N must be an integer, got '1'")
+    message = rf"^n_list must be a list or tuple of integers, got {n_list!r}$"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(n_list, PFamily.explicit(0.5), 1, 0)
 
 
 def test_statistics_spec_validation():
@@ -631,6 +716,14 @@ def test_crossover_grid_validation():
     for grid in ([1.0, math.nan], [math.nan, 1.0]):  # NaN compares false either way
         with pytest.raises(ValueError, match=r"^c must be a number in \(0, 100\), got nan$"):
             empirical_crossover(f, g, 10**4, grid, 10, 0)
+
+
+def test_crossover_grid_refuses_a_repeated_point():
+    # [1, 1] ran both points and printed c=1 twice
+    f, g = LinearForm((4, -3)), LinearForm((5, -1))
+    for grid in ([1.0, 1.0], [0.5, 2.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match=rf"^c = {grid[-2]:g} is repeated in c_grid$"):
+            empirical_crossover(f, g, 10**4, grid, 2, 0)
 
 
 def test_interpolate_half_keeps_a_grid_point_at_one_half():

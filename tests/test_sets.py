@@ -332,6 +332,15 @@ def test_histogram_budget():
     refuses_within_16_mib(lambda: rep_histogram(over_budget_set, "form", form))
 
 
+def test_histogram_count_checks_its_value():
+    # 2.5 raised numpy's IndexError and True read R(1)
+    h = rep_histogram(make_set([0, 1, 5], 0, 10), "diff")
+    assert [h.count(d) for d in (0, 1, -4, np.int64(5), 11)] == [3, 1, 1, 1, 0]
+    for value in (2.5, True, "1"):
+        with pytest.raises(ValueError, match=r"^value must be an integer, got "):
+            h.count(value)
+
+
 def test_formerly_rejected_histogram_is_exact():
     # 200001^2 = 4e10 pairs, but the FFT costs ~8e6
     h = rep_histogram(make_set(range(200_001), 0, 200_001), "diff")
@@ -351,7 +360,21 @@ def test_histograms_match_counters(a):
     assert hd.total() == hf.total() == len(elems) ** 2
 
 
-# --- the pair-sum kernel: both branches against the oracles
+# --- the pair-sum kernel: every branch against the oracles
+
+
+def dense(result, lo, hi, count):
+    """A _pair_sums result as the array over [lo, hi] the dense branches return."""
+    if not isinstance(result, sets._Sorted):
+        return result
+    assert np.all(np.diff(result.offsets) > 0) and (result.runs is not None) == count
+    values = np.zeros(hi - lo + 1, dtype=np.int64 if count else bool)
+    values[result.offsets] = result.runs if count else True
+    return values
+
+
+def sorted_branch(left, right, lo, hi, count):
+    return sets._sorted_pair_sums(left, right, lo, count)
 
 
 @given(
@@ -367,13 +390,19 @@ def test_pair_sum_branches_match_oracles(xs, offset, coeffs):
     lo, hi = sets._image_interval(a.lo, a.hi, coeffs)
     left, right = u * a.members(), v * a.members()
     expected_counts = form_rep_counts(elems, u, v)
-    for branch in (sets._direct_pair_sums, sets._fft_pair_sums):
-        counts = branch(left, right, lo, hi, True)
+    for branch in (sets._direct_pair_sums, sets._fft_pair_sums, sorted_branch):
+        result = branch(left, right, lo, hi, True)
+        counts = dense(result, lo, hi, True)
         assert counts.dtype == np.int64 and counts.size == hi - lo + 1
         assert {int(i) + lo: int(c) for i, c in enumerate(counts) if c} == expected_counts
-        support = branch(left, right, lo, hi, False)
+        assert sets._size(result) == len(expected_counts)
+        assert sets._support(result, lo).tolist() == sorted(expected_counts)
+        result = branch(left, right, lo, hi, False)
+        support = dense(result, lo, hi, False)
         assert support.dtype == bool
         assert (np.flatnonzero(support) + lo).tolist() == sorted(expected_counts)
+        assert sets._size(result) == len(expected_counts)
+        assert sets._support(result, lo).tolist() == sorted(expected_counts)
 
 
 def test_fft_guard_falls_back_to_pairs(monkeypatch):
@@ -415,14 +444,20 @@ def test_fft_fallback_is_priced(monkeypatch):
 
 def test_memory_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(sets, "PAIR_MEMORY_BUDGET", 2**20)
-    dense = make_set(range(200_001), 0, 200_001)
+    full = make_set(range(200_001), 0, 200_001)
     # the FFT branch: an 8-byte count per value plus 41 bytes per FFT slot
     with pytest.raises(ResourceBudgetError, match="FFT of length 524288 needs 24 MiB"):
-        rep_histogram(dense, "diff")
-    # the direct branch: one mark per value of a 2e6-wide interval
-    with pytest.raises(ResourceBudgetError, match="2 x 2 direct pairs needs 2 MiB"):
-        sumset(make_set([0, 10**6], 0, 10**6))
-    assert sumset(make_set([0, 10**5], 0, 10**5)).members().tolist() == [0, 10**5, 2 * 10**5]
+        rep_histogram(full, "diff")
+    # the direct branch: one mark per value of a 2e6-wide interval and a
+    # block of 10^6 int64 sums
+    spread = IntegerSet.from_members(np.arange(0, 10**6, 1000), 0, 10**6)
+    with pytest.raises(ResourceBudgetError, match="1000 x 1000 direct pairs needs 10 MiB"):
+        sumset(spread)
+    # the sorted branch: 17 bytes per pair over a 2e7-wide interval
+    spread = IntegerSet.from_members(np.arange(0, 10**7, 25_000), 0, 10**7)
+    with pytest.raises(ResourceBudgetError, match="400 x 400 sorted pairs needs 3 MiB"):
+        sumset(spread)
+    assert sumset(make_set([0, 10**6], 0, 10**6)).members().tolist() == [0, 10**6, 2 * 10**6]
 
 
 def test_memory_budget_refuses_largest_priced_fft():
@@ -430,7 +465,10 @@ def test_memory_budget_refuses_largest_priced_fft():
     # would need ~19.7 GB; it is refused without allocating
     a = IntegerSet.from_members(np.arange(0, 2 * 10**8, 2000), 0, 2 * 10**8)
     refuses_within_16_mib(lambda: rep_histogram(a, "diff"))
-    refuses_within_16_mib(lambda: sumset(make_set([0, 3 * 10**9], 0, 3 * 10**9)))
+    # 2e4 members over [0, 3e9]: direct marks over the 6e9-wide interval
+    # (cost 5.8e8) are cheaper than sorted pairs (2.3e9), and need 6 GB
+    spread = IntegerSet.from_members(np.arange(0, 3 * 10**9, 150_000), 0, 3 * 10**9)
+    refuses_within_16_mib(lambda: sumset(spread))
 
 
 # --- the shared spectrum: every binary image and histogram of one set
@@ -446,33 +484,45 @@ BINARY_FORMS = ((1, 1), (1, -1), (2, -1), (3, -2), (4, -3), (5, -1))
 )
 @settings(max_examples=80, deadline=None)
 def test_shared_spectrum_matches_oracles(xs, offset, slack):
-    # 1e-9 forces the FFT branch; [offset, offset + 40 + slack] shifts the
-    # interval and leaves room past the members.  One call for the whole
-    # list, a k-ary fold among its binary requests, equals one call per
-    # request, and both equal the oracles.
+    # An FFT step of 1e-9 forces the FFT branch, one of 1e9 with a sorting
+    # step of 1e-9 the sorted branch (the empty set is sorted under both);
+    # [offset, offset + 40 + slack] shifts the interval and leaves room past
+    # the members.  One call for the whole list, a k-ary fold among its
+    # binary requests, equals one call per request, and both equal the
+    # oracles.
     elems = sorted(set(x + offset for x in xs))
     a = make_set(elems, offset, offset + 40 + slack)
     requests = [(coeffs, False) for coeffs in BINARY_FORMS[:3]] + [((1, 1, 1), False)]
     requests += [(coeffs, False) for coeffs in BINARY_FORMS[3:]]
     requests += [((1, 1), True), ((1, -1), True), ((3, -2), True)]
-    with mock.patch.object(sets, "_PAIRS_PER_FFT_STEP", 1e-9):
-        shared = list(sets._self_pair_sums(a, requests))
-        for (coeffs, count), (values, lo) in zip(requests, shared, strict=True):
-            alone, alone_lo = next(sets._self_pair_sums(a, [(coeffs, count)]))
-            assert alone_lo == lo and alone.dtype == values.dtype and np.array_equal(alone, values)
-            assert (lo, lo + values.size - 1) == sets._image_interval(a.lo, a.hi, coeffs)
-            found = {int(i) + lo: int(c) for i, c in enumerate(values) if c}
-            if len(coeffs) > 2:
-                assert sorted(found) == form_image_oracle(elems, coeffs)
-                continue
-            expected = form_rep_counts(elems, *coeffs)
-            assert found == (expected if count else dict.fromkeys(expected, 1))
-        for coeffs in BINARY_FORMS:
-            assert list(form_image(a, LinearForm(coeffs))) == form_image_oracle(elems, coeffs)
-        assert dict(rep_histogram(a, "sum").nonzero_items()) == dict(sum_rep_counts(elems))
-        assert dict(rep_histogram(a, "diff").nonzero_items()) == dict(diff_rep_counts(elems))
-        form = LinearForm((3, -2))
-        assert dict(rep_histogram(a, "form", form).nonzero_items()) == form_rep_counts(elems, 3, -2)
+    for fft_step, sort_step in ((1e-9, 0.2), (1e9, 1e-9)):
+        with mock.patch.multiple(sets, _PAIRS_PER_FFT_STEP=fft_step, _PAIRS_PER_SORT_STEP=sort_step):
+            check_shared_spectrum(a, elems, requests, sort_step < 1e-3 or not elems)
+
+
+def check_shared_spectrum(a, elems, requests, sort):
+    shared = list(sets._self_pair_sums(a, requests))
+    for (coeffs, count), (result, lo) in zip(requests, shared, strict=True):
+        assert isinstance(result, sets._Sorted) == sort
+        alone, alone_lo = next(sets._self_pair_sums(a, [(coeffs, count)]))
+        assert type(alone) is type(result) and alone_lo == lo
+        hi = sets._image_interval(a.lo, a.hi, coeffs)[1]
+        values = dense(result, lo, hi, count)
+        assert np.array_equal(dense(alone, lo, hi, count), values)
+        assert values.dtype == (np.int64 if count else bool)
+        assert (lo, lo + values.size - 1) == sets._image_interval(a.lo, a.hi, coeffs)
+        found = {int(i) + lo: int(c) for i, c in enumerate(values) if c}
+        if len(coeffs) > 2:
+            assert sorted(found) == form_image_oracle(elems, coeffs)
+            continue
+        expected = form_rep_counts(elems, *coeffs)
+        assert found == (expected if count else dict.fromkeys(expected, 1))
+    for coeffs in BINARY_FORMS:
+        assert list(form_image(a, LinearForm(coeffs))) == form_image_oracle(elems, coeffs)
+    assert dict(rep_histogram(a, "sum").nonzero_items()) == dict(sum_rep_counts(elems))
+    assert dict(rep_histogram(a, "diff").nonzero_items()) == dict(diff_rep_counts(elems))
+    form = LinearForm((3, -2))
+    assert dict(rep_histogram(a, "form", form).nonzero_items()) == form_rep_counts(elems, 3, -2)
 
 
 @pytest.mark.parametrize("nfft", [1, 2, 3, 8, 12, 45, 1024, 3 * 2**9])
@@ -551,7 +601,10 @@ def test_direct_pairs_stay_within_their_price(monkeypatch, count):
     members = np.arange(0, 10**6 + 1, 1000)
     lo, hi = -(10**6), 10**6
     nfft = sets._fft_length(hi - lo + 1)
-    assert members.size**2 < sets._PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)  # direct
+    pairs = members.size**2
+    assert pairs < sets._PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)  # direct, not the FFT
+    direct_cost = pairs + sets._PAIRS_PER_SLOT[count] * (hi - lo + 1)
+    assert direct_cost < sets._PAIRS_PER_SORT_STEP * pairs * math.log2(pairs)  # nor sorted pairs
     priced = sets._direct_bytes(members.size, members.size, hi - lo + 1, count)
     tracemalloc.start()
     try:
@@ -565,6 +618,81 @@ def test_direct_pairs_stay_within_their_price(monkeypatch, count):
     expected = np.zeros(hi - lo + 1, dtype=np.int64)
     expected[1000 * gaps - lo] = 1001 - abs(gaps)
     assert np.array_equal(result, expected if count else expected > 0)
+
+
+@pytest.mark.parametrize("count", [True, False], ids=["counts", "marks"])
+def test_sorted_pairs_stay_within_their_price(count):
+    # The differences of 600 members of [0, 10^9], 3.6e5 pairs over a
+    # 2e9-wide interval: sorted pairs are the cheapest branch, and the call
+    # peaks within their price (the sums, a flag per pair and 8 or 16 bytes
+    # per distinct sum) plus 64 KiB for small objects
+    members = np.sort(np.random.default_rng(7).choice(10**9 + 1, 600, replace=False))
+    lo, hi = -(10**9), 10**9
+    pairs, nfft = members.size**2, sets._fft_length(hi - lo + 1)
+    sorted_cost = sets._PAIRS_PER_SORT_STEP * pairs * math.log2(pairs)
+    assert sorted_cost < pairs + sets._PAIRS_PER_SLOT[count] * (hi - lo + 1)
+    assert sorted_cost < sets._PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)
+    priced = sets._sorted_bytes(pairs, hi - lo + 1, count)
+    tracemalloc.start()
+    try:
+        result = sets._pair_sums(members, -members, lo, hi, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= priced + 2**16
+    expected = diff_rep_counts(members.tolist())
+    assert (sets._support(result, lo)).tolist() == sorted(expected)
+    if count:
+        assert dict(zip(sets._support(result, lo).tolist(), result.runs.tolist())) == expected
+
+
+def spy_on_branches(monkeypatch) -> list[str]:
+    """The branch each later _pair_sums call takes, in order: direct, fft or sorted."""
+    taken = []
+    for name in ("_direct_pair_sums", "_fft_pair_sums", "_sorted_pair_sums"):
+        def spy(*args, real=getattr(sets, name), branch=name.split("_")[1], **kwargs):
+            taken.append(branch)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sets, name, spy)
+    return taken
+
+
+WORKLOAD_TRIALS = {
+    # name: (N, family, statistics, trials, the branch of each kernel call)
+    "sparse-trials": (10**6, PFamily.power_law(1.0, 0.7), StatisticsSpec(forms=(LinearForm((2, -1)),)),
+                      4, ["sorted"] * 3),
+    "dense-images": (10**6, PFamily.power_law(1.0, 0.3), StatisticsSpec(forms=(LinearForm((2, -1)),)),
+                     1, ["fft"] * 3),
+    "collision-hist": (10**4, PFamily.explicit(0.5), StatisticsSpec(max_k=3, y=True), 2, ["fft"] * 2),
+}
+
+
+@pytest.mark.parametrize("workload", WORKLOAD_TRIALS)
+def test_workload_trials_take_their_branches(monkeypatch, workload):
+    # The sweeps of the benchmark workloads, one trial at a time: sparse
+    # sets (|A| ~ 63 in [0, 10^6]) sort their ~4e3 pair sums instead of
+    # marking intervals 2e6 and 3e6 wide; dense sets keep the FFT
+    n, family, spec, trials, branches = WORKLOAD_TRIALS[workload]
+    taken = spy_on_branches(monkeypatch)
+    config = ExperimentConfig((n,), family, trials, 0, spec)
+    for t in range(trials):
+        record = run_trial(config, n, t)
+        assert taken == branches and record.set_size > 0
+        taken.clear()
+
+
+def test_crossover_grid_trials_take_direct_pairs(monkeypatch):
+    # The crossover-grid workload's trial grows dense marks: direct pairs
+    # into ``out`` at every stage, however cheap sorting would be
+    from sumdiff import experiments
+
+    grid = (0.67, 0.77, 0.86, 0.96, 1.05, 1.15, 1.24)
+    n = 10**6
+    taken = spy_on_branches(monkeypatch)
+    forms = (LinearForm((4, -3)), LinearForm((5, -1)))
+    experiments._crossover_trial(forms, n, tuple(c / math.sqrt(n) for c in grid), 0, 0)
+    assert taken == ["direct"] * 2 * len(grid) * 2
 
 
 @pytest.mark.parametrize(
@@ -611,11 +739,13 @@ def test_trial_shares_spectrum_per_fft_length(monkeypatch, forms, max_k, forward
 @settings(max_examples=80, deadline=None)
 def test_grown_image_matches_fresh_image(staged, coeffs, pairs_per_fft_step):
     # Element x joins the nested sets A_0 <= A_1 <= A_2 <= A_3 at its stage;
-    # 1e-9 forces the FFT branch, 1e9 direct pairs.
+    # 1e-9 forces the FFT branch, 1e9 direct pairs.  The grown marks stay
+    # dense: the sorted branch is never taken into ``out``, however cheap.
     members = np.array([x for x, _ in sorted(staged, key=lambda t: t[1])], dtype=np.int64)
     ends = [sum(s <= stage for _, s in staged) for stage in range(4)]
     lo, hi = sets._image_interval(0, 60, coeffs)
-    with mock.patch.object(sets, "_PAIRS_PER_FFT_STEP", pairs_per_fft_step):
+    steps = {"_PAIRS_PER_FFT_STEP": pairs_per_fft_step, "_PAIRS_PER_SORT_STEP": 1e-9}
+    with mock.patch.multiple(sets, **steps):
         grown = sets._grown_images(members, ends, coeffs, 60)
         for stage, marks in zip(range(4), grown, strict=True):
             prefix = make_set([x for x, s in staged if s <= stage], 0, 60)
