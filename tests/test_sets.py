@@ -460,6 +460,16 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
     assert sumset(make_set([0, 10**6], 0, 10**6)).members().tolist() == [0, 10**6, 2 * 10**6]
 
 
+def test_sorted_histogram_spread_is_priced(monkeypatch):
+    # the two members' differences are three sorted pairs, but the histogram
+    # spreads them over the 2e6+1 values of [-10^6, 10^6], 16 MB of counts
+    a = make_set([0, 10**6], 0, 10**6)
+    assert [rep_histogram(a, "diff").count(d) for d in (-(10**6), 0, 1, 10**6)] == [1, 2, 0, 1]
+    monkeypatch.setattr(sets, "PAIR_MEMORY_BUDGET", 2**20)
+    with pytest.raises(ResourceBudgetError, match="a histogram 2000001 values wide needs 15 MiB"):
+        rep_histogram(a, "diff")
+
+
 def test_memory_budget_refuses_largest_priced_fft():
     # the widest FFT within the pair budget (nfft = 3*2^27, cost 9.2e9)
     # would need ~19.7 GB; it is refused without allocating
