@@ -26,8 +26,8 @@ from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
-from .sets import KIND_FORMS, LinearForm, _grown_images, _profile, _self_pair_sums, _size
-from .sets import _integer, _real, _tuple_count
+from .sets import KIND_FORMS, LinearForm, _grown_images, _histogram, _self_pair_sums
+from .sets import _integer, _real, _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
 from .thresholds import classify_pair
@@ -221,12 +221,12 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     images = [f for f in dict.fromkeys(sized + list(spec.forms)) if f not in counted]
     requests = [(f.coeffs, False) for f in images] + [(f.coeffs, True) for f in counted]
     results = _self_pair_sums(a, requests)
-    sizes = {f: _size(next(results)[0]) for f in images}
+    sizes = {f: next(results).size() for f in images}
     profiles = {}
     for f, kind in counted.items():
-        counts, lo = next(results)
-        sizes[f] = _size(counts)
-        profiles[kind] = _profile(a, kind, counts, lo)
+        hist = _histogram(a, kind, next(results))
+        sizes[f] = hist.support_size()
+        profiles[kind] = multiplicity_profile(hist)
 
     sum_size, diff_size = (sizes[f] for f in sized) if sized else (None, None)
     miss_s = miss_d = None

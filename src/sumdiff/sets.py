@@ -10,8 +10,9 @@ the sorted pair sums, which hold only the values some pair makes, for
 small sets in wide intervals; and a real FFT whose rounding is checked to
 be exact, for large sets.  It prices each call by the branch it runs, in
 time and in memory, and refuses a call that exceeds either budget.
-Callers read a result's size and multiplicity profile without building
-the member array, whichever branch made it.
+Every branch returns a _PairSums, whose methods alone read its layout,
+dense or sorted; a RepHistogram keeps it as it came, never spread over
+the interval, so the histogram of a sparse set at N = 10^9 takes a few MB.
 
 The images and histograms of one set share its spectrum X, the rfft of
 A's indicator, taken once per FFT length: the pair sums under (u, v) are
@@ -245,6 +246,8 @@ def kind_form(kind: str, form: LinearForm | None = None) -> LinearForm:
         return form
     if kind not in KIND_FORMS:
         raise ValueError(f"unknown kind {kind!r}")
+    if form is not None:
+        raise ValueError(f"form is used only with kind='form', got form={form} with kind={kind!r}")
     return KIND_FORMS[kind]
 
 
@@ -263,28 +266,28 @@ class RepHistogram:
     kind: str
     domain_lo: int
     domain_hi: int
-    counts: np.ndarray = field(repr=False)
+    _sums: _PairSums = field(repr=False)
     form: LinearForm | None = None
 
     def __post_init__(self):
-        self.counts.flags.writeable = False
+        self._sums.cells.flags.writeable = False
 
     def count(self, value: int) -> int:
         value = _integer(value, "value")
         if value < self.domain_lo or value > self.domain_hi:
             return 0
-        return int(self.counts[value - self.domain_lo])
+        return self._sums.count(value)
 
     def total(self) -> int:
-        return int(self.counts.sum())
+        return int(self._sums.multiplicities().sum())
 
     def support_size(self) -> int:
         """Number of values with R(value) >= 1."""
-        return int(np.count_nonzero(self.counts))
+        return self._sums.size()
 
     def nonzero_items(self) -> Iterator[tuple[int, int]]:
-        for idx in np.flatnonzero(self.counts):
-            yield int(idx) + self.domain_lo, int(self.counts[idx])
+        for value, r in zip(self._sums.support(), self._sums.multiplicities()):
+            yield int(value), int(r)
 
 
 def sumset(a: IntegerSet) -> IntegerSet:
@@ -299,8 +302,8 @@ def diffset(a: IntegerSet) -> IntegerSet:
 
 def form_image(a: IntegerSet, form: LinearForm) -> IntegerSet:
     """{u1*a1 + ... + uk*ak : ai in A} over its exact representable interval."""
-    marks, lo = next(_self_pair_sums(a, [(form.coeffs, False)]))
-    return IntegerSet.from_members(_support(marks, lo), lo, _image_interval(a.lo, a.hi, form.coeffs)[1])
+    marks = next(_self_pair_sums(a, [(form.coeffs, False)]))
+    return IntegerSet.from_members(marks.support(), marks.lo, _image_interval(a.lo, a.hi, form.coeffs)[1])
 
 
 def _image_interval(lo: int, hi: int, coeffs: tuple[int, ...]) -> tuple[int, int]:
@@ -310,11 +313,11 @@ def _image_interval(lo: int, hi: int, coeffs: tuple[int, ...]) -> tuple[int, int
 
 def _self_pair_sums(
     a: IntegerSet, requests: Sequence[tuple[tuple[int, ...], bool]]
-) -> Iterator[tuple[np.ndarray | _Sorted, int]]:
+) -> Iterator[_PairSums]:
     """For each request (coeffs, count) in turn, the pair sums of A under
-    ``coeffs`` over their image interval, and its lo: ordered-pair counts if
-    ``count`` (binary ``coeffs`` only), else marks, dense or sorted (see
-    _pair_sums).  Each is yielded before the next request runs.
+    ``coeffs`` over their image interval: ordered-pair counts if ``count``
+    (binary ``coeffs`` only), else marks.  Each is yielded before the next
+    request runs.
 
     Every request starts from the pair sums of its first two coefficients,
     which share A's spectrum X at each FFT length and reuse its arrays: X, a
@@ -346,9 +349,9 @@ def _self_pair_sums(
         spectrum = partial(product, (u, v), lo - (u + v) * a.lo, keep)
         sums = _pair_sums(u * members, v * members, lo, hi, count, None, spectrum)
         for j in range(2, len(coeffs)):
-            part_lo, (lo, hi) = lo, _image_interval(a.lo, a.hi, coeffs[: j + 1])
-            sums = _pair_sums(_support(sums, part_lo), coeffs[j] * members, lo, hi, False)
-        yield sums, lo
+            lo, hi = _image_interval(a.lo, a.hi, coeffs[: j + 1])
+            sums = _pair_sums(sums.support(), coeffs[j] * members, lo, hi, False)
+        yield sums
         del sums  # not held while the next request runs
 
 
@@ -418,16 +421,15 @@ def _grown_images(
 def _pair_sums(
     left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
     out: np.ndarray | None = None, spectrum: Callable | None = None,
-) -> np.ndarray | _Sorted:
+) -> _PairSums:
     """Pair sums left[i] + right[j] over the values [lo, hi].
 
     Returns, for each value, the number of pairs summing to it (int64), or
-    whether one does (bool) when ``count`` is false: as an array over
-    [lo, hi], or, from the sorted branch, as a _Sorted holding only the
-    values some pair makes.  _size, _support and _profile read either.
+    whether one does (bool) when ``count`` is false, as a _PairSums: dense
+    from the direct and FFT branches, sorted from the sorted one.
     ``left`` and ``right`` each hold distinct values, and every sum must
     lie in [lo, hi].  Given ``out`` (of that width and dtype), the result is
-    added into it and ``out`` is returned: counts accumulate, marks are
+    added into it and the result holds ``out``: counts accumulate, marks are
     OR-ed in.  Given ``spectrum``, the FFT branch takes its product
     spectrum from it (see _fft_pair_sums).
 
@@ -487,7 +489,7 @@ def _direct_bytes(left: int, right: int, width: int, count: bool) -> int:
 def _direct_pair_sums(
     left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
     out: np.ndarray | None = None,
-) -> np.ndarray:
+) -> _PairSums:
     width = hi - lo + 1
     if out is None:
         out = np.zeros(width, dtype=np.int64 if count else bool)
@@ -501,16 +503,51 @@ def _direct_pair_sums(
             np.add.at(out, sums.ravel(), 1)  # bincount would make a second width-sized array
         else:
             out[sums.ravel()] = True
-    return out
+    return _PairSums(lo, out)
 
 
 @dataclass(frozen=True, eq=False)
-class _Sorted:
-    """A result of the sorted branch: the distinct pair sums' offsets from
-    lo, ascending, and, for counts, how many pairs make each."""
+class _PairSums:
+    """A _pair_sums result over [lo, ...): for each value, how many pairs
+    make it (counts) or whether one does (marks).  Dense: ``cells`` spans
+    the interval and ``offsets`` is None.  Sorted: ``offsets`` holds the
+    made values' offsets from lo, ascending and read-only, and ``cells``
+    their counts, or None for marks.  Only these methods read ``offsets``;
+    in either layout cells[index(v)] is the count of a value v some pair makes.
+    """
 
-    offsets: np.ndarray
-    runs: np.ndarray | None = None
+    lo: int
+    cells: np.ndarray | None
+    offsets: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.offsets is not None:
+            self.offsets.flags.writeable = False
+
+    def size(self) -> int:
+        """How many values some pair makes."""
+        return int(np.count_nonzero(self.cells)) if self.offsets is None else self.offsets.size
+
+    def support(self) -> np.ndarray:
+        """The values some pair makes, ascending."""
+        values = np.flatnonzero(self.cells) if self.offsets is None else self.offsets.copy()
+        values += self.lo
+        return values
+
+    def multiplicities(self) -> np.ndarray:
+        """The counts of support(), in its order."""
+        return self.cells[self.cells > 0] if self.offsets is None else self.cells
+
+    def index(self, values):
+        """Where in ``cells`` the counts of ``values``, each made by some pair, are."""
+        offsets = values - self.lo
+        return offsets if self.offsets is None else np.searchsorted(self.offsets, offsets)
+
+    def count(self, value: int) -> int:
+        """How many pairs make ``value``, a value of the interval."""
+        i = int(self.index(value))
+        held = self.offsets is None or (i < self.offsets.size and self.offsets[i] == value - self.lo)
+        return int(self.cells[i]) if held else 0
 
 
 def _sorted_bytes(pairs: int, width: int, count: bool) -> int:
@@ -520,7 +557,7 @@ def _sorted_bytes(pairs: int, width: int, count: bool) -> int:
     return 9 * pairs + (16 if count else 8) * min(pairs, width)
 
 
-def _sorted_pair_sums(left: np.ndarray, right: np.ndarray, lo: int, count: bool) -> _Sorted:
+def _sorted_pair_sums(left: np.ndarray, right: np.ndarray, lo: int, count: bool) -> _PairSums:
     """The sorted branch of _pair_sums: all pair sums, sorted, with each run
     of equal sums kept once."""
     sums = np.add.outer(left, right).ravel()
@@ -531,7 +568,7 @@ def _sorted_pair_sums(left: np.ndarray, right: np.ndarray, lo: int, count: bool)
     if not count:
         offsets = sums[new]
         offsets -= lo
-        return _Sorted(offsets)
+        return _PairSums(lo, None, offsets)
     runs = np.flatnonzero(new)  # where each run starts, then how long it is
     del new
     offsets = sums[runs]
@@ -540,24 +577,7 @@ def _sorted_pair_sums(left: np.ndarray, right: np.ndarray, lo: int, count: bool)
     del sums
     runs[:-1] = np.diff(runs)
     runs[-1:] = pairs - runs[-1:]
-    return _Sorted(offsets, runs)
-
-
-def _size(result: np.ndarray | _Sorted) -> int:
-    """How many values a _pair_sums result holds."""
-    return result.offsets.size if isinstance(result, _Sorted) else int(np.count_nonzero(result))
-
-
-def _support(result: np.ndarray | _Sorted, lo: int) -> np.ndarray:
-    """The values, ascending, that a _pair_sums result over [lo, ...) holds."""
-    values = result.offsets.copy() if isinstance(result, _Sorted) else np.flatnonzero(result)
-    values += lo
-    return values
-
-
-def _index(result: np.ndarray | _Sorted, offsets):
-    """Where the values at ``offsets`` from lo sit in a counts result's counts."""
-    return np.searchsorted(result.offsets, offsets) if isinstance(result, _Sorted) else offsets
+    return _PairSums(lo, runs, offsets)
 
 
 def _fft_length(width: int) -> int:
@@ -569,7 +589,7 @@ def _fft_length(width: int) -> int:
 def _fft_pair_sums(
     left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
     out: np.ndarray | None = None, spectrum: Callable | None = None,
-) -> np.ndarray | None:
+) -> _PairSums | None:
     """The FFT branch of _pair_sums (left must not be empty); None unless
     every convolution value lies within 1/4 of an integer, so that rounding
     it is exact.
@@ -594,7 +614,7 @@ def _fft_pair_sums(
     accumulate = np.add if count else np.logical_or  # exact holds integers >= 0
     for part, values in ((out[:head], exact[start : start + head]), (out[head:], exact[: width - head])):
         accumulate(part, values, out=part, casting="unsafe")
-    return out
+    return _PairSums(lo, out)
 
 
 def _indicator_product(
@@ -618,36 +638,19 @@ def _indicator_product(
 def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> RepHistogram:
     """Representation histogram of A under the given operation."""
     coeffs = kind_form(kind, form).coeffs
-    lo, hi = _image_interval(a.lo, a.hi, coeffs)
-    result, _ = next(_self_pair_sums(a, [(coeffs, True)]))
-    counts = _representations(a, kind, result, lo)
-    if isinstance(result, _Sorted):  # spread over the interval, priced as direct counts
-        width = hi - lo + 1
-        spread_bytes = 8 * width + 16 * counts.size
-        _check_budget(_PAIRS_PER_SLOT[True] * width, spread_bytes, f"a histogram {width} values wide")
-        dense = np.zeros(width, dtype=np.int64)
-        dense[result.offsets] = counts
-        counts = dense
-    return RepHistogram(kind, lo, hi, counts, form=form if kind == "form" else None)
+    return _histogram(a, kind, next(_self_pair_sums(a, [(coeffs, True)])), form)
 
 
-def _representations(a: IntegerSet, kind: str, result: np.ndarray | _Sorted, lo: int) -> np.ndarray:
-    """R(value) of the ``kind`` histogram at each value that the ordered pair
-    counts ``result`` of its form, over [lo, ...), hold: made unordered in
-    place for kind="sum"."""
-    counts = result.runs if isinstance(result, _Sorted) else result
+def _histogram(a: IntegerSet, kind: str, sums: _PairSums, form: LinearForm | None = None) -> RepHistogram:
+    """The ``kind`` histogram of A from ``sums``, the ordered pair counts of
+    its form, which it takes over: made unordered in place for kind="sum"."""
+    lo, hi = _image_interval(a.lo, a.hi, kind_form(kind, form).coeffs)
     if kind == "sum":
         # ordered pairs count {a1, a2} twice and (a, a) once
-        counts[_index(result, 2 * a.members() - lo)] += 1
+        counts = sums.cells
+        counts[sums.index(2 * a.members())] += 1
         counts //= 2
-    return counts
-
-
-def _profile(a: IntegerSet, kind: str, result: np.ndarray | _Sorted, lo: int) -> dict[int, int]:
-    """multiplicity_profile of the ``kind`` histogram from the ordered pair
-    counts ``result`` of its form over [lo, ...); spends ``result``."""
-    counts = _representations(a, kind, result, lo)
-    return _tally(counts, _index(result, -lo) if kind == "diff" and a.count else None)
+    return RepHistogram(kind, lo, hi, sums, form)
 
 
 def multiplicity_profile(hist: RepHistogram) -> dict[int, int]:
@@ -657,17 +660,10 @@ def multiplicity_profile(hist: RepHistogram) -> dict[int, int]:
     profile.  This is the one pass over a histogram's counts: every
     collision statistic is a sum over the profile.
     """
-    zero = hist.kind == "diff" and hist.domain_lo <= 0 <= hist.domain_hi
-    return _tally(hist.counts, -hist.domain_lo if zero else None)
-
-
-def _tally(counts: np.ndarray, zero) -> dict[int, int]:
-    """How many of ``counts``, leaving out the one at index ``zero``, equal each i >= 1."""
-    keep = counts > 0
-    if zero is not None:
-        keep[zero] = False
-    sizes, times = np.unique(counts[keep], return_counts=True)
-    return dict(zip(sizes.tolist(), times.tolist()))
+    sizes, times = np.unique(hist._sums.multiplicities(), return_counts=True)
+    if hist.kind == "diff" and (zero := hist.count(0)):
+        times[np.searchsorted(sizes, zero)] -= 1
+    return {i: t for i, t in zip(sizes.tolist(), times.tolist()) if t}
 
 
 def _tuple_count(profile: dict[int, int], k: int) -> int:
@@ -710,7 +706,7 @@ def classify(a: IntegerSet) -> Classification:
         raise ValueError("classification is defined for sets over [0, N]")
     n = a.hi
     images = _self_pair_sums(a, [(KIND_FORMS[kind].coeffs, False) for kind in ("sum", "diff")])
-    s, d = [_size(next(images)[0]) for _ in range(2)]
+    s, d = [next(images).size() for _ in range(2)]
     return Classification(_domination_label(s, d), s, d, (2 * n + 1) - s, (2 * n + 1) - d)
 
 

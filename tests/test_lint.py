@@ -198,3 +198,53 @@ def test_package_checks_argument_ranges_only_in_sets():
     flagged = [(p.name, line, function) for p in modules for line, function in raising_range_checks(p)]
     assert [f"{name}:{line}" for name, line, function in flagged if function not in _COMPUTED_RANGE_CHECKS] == []
     assert {function for _, _, function in flagged} == _COMPUTED_RANGE_CHECKS
+
+
+def attribute_uses(path, attr, owners):
+    """Lines of ``path`` that read or set ``.attr`` outside the classes and
+    functions named in ``owners`` (and anything nested in them)."""
+    found = []
+
+    def visit(node, owned):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owned or child.name in owners)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr and not owned:
+                found.append(child.lineno)
+            visit(child, owned)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), False)
+    return found
+
+
+def test_attribute_uses_flags_uses_outside_the_owners(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "class _PairSums:\n"
+        "    def size(self):\n"
+        "        return self.offsets.size\n"
+        "def _sorted_pair_sums(x):\n"
+        "    return x.offsets\n"
+        "def reader(sums):\n"
+        "    return sums.offsets is None\n"
+        "offsets = 3\n"
+        "def other(sums, offsets):\n"
+        "    sums.offsets = offsets\n"
+        "    return [s.cells for s in sums]\n"
+        "first = reader(None).offsets\n",
+        encoding="utf-8",
+    )
+    assert attribute_uses(module, "offsets", {"_PairSums", "_sorted_pair_sums"}) == [7, 10, 12]
+    assert attribute_uses(module, "offsets", {"_PairSums"}) == [5, 7, 10, 12]
+
+
+def test_pair_sum_layout_is_read_only_by_its_class():
+    # Whether a pair-sum result is dense or sorted is one decision: the
+    # sorted branch builds the layout and only _PairSums reads it, so no
+    # caller branches on it
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) >= 9
+    found = [f"{p.name}:{line}" for p in modules for line in attribute_uses(p, "offsets", {"_PairSums"})]
+    assert found == []
+    assert attribute_uses(PACKAGE / "sets.py", "offsets", set())  # the class does read it

@@ -196,6 +196,9 @@ def test_expected_tuple_count_leading_order():
         expected_tuple_count(n, p, 0, "sum")
     with pytest.raises(ValueError):
         expected_tuple_count(n, p, 1, "form")
+    # a form that only kind="form" reads is refused, not ignored
+    with pytest.raises(ValueError, match=r"^form is used only with kind='form'"):
+        expected_tuple_count(100, 0.1, 2, "sum", LinearForm((2, -1)))
 
 
 def _tuple_count_by_kind(n, p, k, kind, form):
@@ -238,11 +241,8 @@ def test_expected_tuple_count_against_full_interval_enumeration(kind, form, k):
     n = 1500
     full = make_set(range(n + 1), 0, n)
     hist = rep_histogram(full, kind, form)
-    counts = hist.counts
-    if kind == "diff":
-        counts = counts.copy()
-        counts[0 - hist.domain_lo] = 0
-    exact_xi = sum(math.comb(int(r), k) for r in counts if r >= k)
+    counts = [r for value, r in hist.nonzero_items() if kind != "diff" or value != 0]
+    exact_xi = sum(math.comb(r, k) for r in counts if r >= k)
     p = 0.01
     predicted = expected_tuple_count(n, p, k, kind, form)
     assert predicted == pytest.approx(exact_xi * p ** (2 * k), rel=0.02)

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import weakref
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -325,6 +326,9 @@ def test_form_histogram_requires_binary_form():
         rep_histogram(a, "form", LinearForm((1, 1, 1)))
     with pytest.raises(ValueError):
         rep_histogram(a, "nonsense")
+    # a form that only kind="form" reads is refused, not ignored
+    with pytest.raises(ValueError, match=r"^form is used only with kind='form'"):
+        rep_histogram(make_set([3], 0, 5), "sum", LinearForm((2, -1)))
 
 
 def test_histogram_budget():
@@ -364,12 +368,13 @@ def test_histograms_match_counters(a):
 
 
 def dense(result, lo, hi, count):
-    """A _pair_sums result as the array over [lo, hi] the dense branches return."""
-    if not isinstance(result, sets._Sorted):
-        return result
-    assert np.all(np.diff(result.offsets) > 0) and (result.runs is not None) == count
+    """A _pair_sums result over [lo, ...) as the array over [lo, hi] of the dense layout."""
+    assert result.lo == lo
+    if result.offsets is None:
+        return result.cells
+    assert np.all(np.diff(result.offsets) > 0) and (result.cells is not None) == count
     values = np.zeros(hi - lo + 1, dtype=np.int64 if count else bool)
-    values[result.offsets] = result.runs if count else True
+    values[result.offsets] = result.cells if count else True
     return values
 
 
@@ -395,14 +400,15 @@ def test_pair_sum_branches_match_oracles(xs, offset, coeffs):
         counts = dense(result, lo, hi, True)
         assert counts.dtype == np.int64 and counts.size == hi - lo + 1
         assert {int(i) + lo: int(c) for i, c in enumerate(counts) if c} == expected_counts
-        assert sets._size(result) == len(expected_counts)
-        assert sets._support(result, lo).tolist() == sorted(expected_counts)
+        assert result.size() == len(expected_counts)
+        assert result.support().tolist() == sorted(expected_counts)
+        assert result.multiplicities().tolist() == [expected_counts[v] for v in sorted(expected_counts)]
         result = branch(left, right, lo, hi, False)
         support = dense(result, lo, hi, False)
         assert support.dtype == bool
         assert (np.flatnonzero(support) + lo).tolist() == sorted(expected_counts)
-        assert sets._size(result) == len(expected_counts)
-        assert sets._support(result, lo).tolist() == sorted(expected_counts)
+        assert result.size() == len(expected_counts)
+        assert result.support().tolist() == sorted(expected_counts)
 
 
 def test_fft_guard_falls_back_to_pairs(monkeypatch):
@@ -460,14 +466,78 @@ def test_memory_budget_refuses_before_allocating(monkeypatch):
     assert sumset(make_set([0, 10**6], 0, 10**6)).members().tolist() == [0, 10**6, 2 * 10**6]
 
 
-def test_sorted_histogram_spread_is_priced(monkeypatch):
-    # the two members' differences are three sorted pairs, but the histogram
-    # spreads them over the 2e6+1 values of [-10^6, 10^6], 16 MB of counts
+def test_sorted_histogram_is_not_spread():
+    # the two members' differences are three sorted pairs over the 2e6+1
+    # values of [-10^6, 10^6]
     a = make_set([0, 10**6], 0, 10**6)
     assert [rep_histogram(a, "diff").count(d) for d in (-(10**6), 0, 1, 10**6)] == [1, 2, 0, 1]
-    monkeypatch.setattr(sets, "PAIR_MEMORY_BUDGET", 2**20)
-    with pytest.raises(ResourceBudgetError, match="a histogram 2000001 values wide needs 15 MiB"):
-        rep_histogram(a, "diff")
+    # At N = 10^9, dense counts over the 2e9+1 values would need 15 GiB,
+    # over the memory budget; the histogram and every statistic read off it
+    # keep to the sorted pairs.
+    elems = [0, 5, 10**9]
+    a = make_set(elems, 0, 10**9)
+    for kind, oracle in (("sum", sum_rep_counts), ("diff", diff_rep_counts)):
+        expected = dict(oracle(elems))
+        tracemalloc.start()
+        try:
+            hist = rep_histogram(a, kind)
+            found = (
+                [hist.count(v) for v in [*expected, 1, -1, 10**9 - 1, 2 * 10**9 - 1]],
+                hist.total(),
+                hist.support_size(),
+                list(hist.nonzero_items()),
+                multiplicity_profile(hist),
+                [tuple_statistic(hist, k) for k in (1, 2, 3)],
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        counts, total, support_size, items, profile, tuples = found
+        assert counts == [*expected.values(), 0, 0, 0, 0]
+        assert total == sum(expected.values()) and support_size == len(expected)
+        assert items == sorted(expected.items())
+        assert profile == Counter(r for v, r in expected.items() if kind != "diff" or v != 0)
+        assert tuples == [tuple_statistic_oracle(elems, kind, k) for k in (1, 2, 3)]
+
+
+@given(
+    st.lists(st.integers(0, 40), max_size=25),
+    st.integers(-30, 30),
+    st.integers(0, 8),
+)
+@settings(max_examples=40, deadline=None)
+def test_histogram_count_on_both_layouts(xs, offset, slack):
+    # The FFT, direct pairs and sorted pairs forced in turn (the empty set
+    # is sorted under all three): count(v) is the oracle's at every value of
+    # the domain and next to it, stored or not, below, between and above
+    # the values some pair makes.
+    elems = sorted(set(x + offset for x in xs))
+    a = make_set(elems, offset, offset + 40 + slack)
+    cases = (
+        ("sum", None, sum_rep_counts(elems)),
+        ("diff", None, diff_rep_counts(elems)),
+        ("form", LinearForm((3, -2)), form_rep_counts(elems, 3, -2)),
+    )
+    for fft_step, sort_step in ((1e-9, 1e9), (1e9, 1e9), (1e9, 1e-9)):
+        with mock.patch.multiple(sets, _PAIRS_PER_FFT_STEP=fft_step, _PAIRS_PER_SORT_STEP=sort_step):
+            for kind, form, expected in cases:
+                hist = rep_histogram(a, kind, form)
+                assert (hist._sums.offsets is not None) == (sort_step < 1 or not elems)
+                values = range(hist.domain_lo - 2, hist.domain_hi + 3)
+                assert [hist.count(v) for v in values] == [expected.get(v, 0) for v in values]
+
+
+@pytest.mark.parametrize("sort_step", [1e9, 1e-9], ids=["dense", "sorted"])
+def test_histogram_arrays_are_read_only(sort_step):
+    with mock.patch.object(sets, "_PAIRS_PER_SORT_STEP", sort_step):
+        hist = rep_histogram(make_set([0, 1, 5], 0, 10), "sum")
+    arrays = [x for x in vars(hist._sums).values() if isinstance(x, np.ndarray)]
+    assert len(arrays) == (2 if sort_step < 1 else 1)
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] += 1
+    assert dict(hist.nonzero_items()) == dict(sum_rep_counts([0, 1, 5]))
 
 
 def test_memory_budget_refuses_largest_priced_fft():
@@ -512,10 +582,11 @@ def test_shared_spectrum_matches_oracles(xs, offset, slack):
 
 def check_shared_spectrum(a, elems, requests, sort):
     shared = list(sets._self_pair_sums(a, requests))
-    for (coeffs, count), (result, lo) in zip(requests, shared, strict=True):
-        assert isinstance(result, sets._Sorted) == sort
-        alone, alone_lo = next(sets._self_pair_sums(a, [(coeffs, count)]))
-        assert type(alone) is type(result) and alone_lo == lo
+    for (coeffs, count), result in zip(requests, shared, strict=True):
+        lo = result.lo
+        assert (result.offsets is not None) == sort
+        alone = next(sets._self_pair_sums(a, [(coeffs, count)]))
+        assert (alone.offsets is None) == (result.offsets is None) and alone.lo == lo
         hi = sets._image_interval(a.lo, a.hi, coeffs)[1]
         values = dense(result, lo, hi, count)
         assert np.array_equal(dense(alone, lo, hi, count), values)
@@ -565,7 +636,7 @@ def test_no_result_is_held_while_the_next_request_runs(monkeypatch):
     monkeypatch.setattr(sets, "_pair_sums", spy)
     a = make_set(range(0, 400, 3), 0, 400)
     requests = [((1, 1), False), ((1, 1, 1), False), ((2, -1, 3), False), ((1, -1), True)]
-    for values, _ in sets._self_pair_sums(a, requests):
+    for values in sets._self_pair_sums(a, requests):
         refs.append(weakref.ref(values))
         del values
     assert len(refs) == 4 and len(seen) == 6
@@ -590,7 +661,7 @@ def test_dense_images_stay_within_three_slots():
         for size in sizes:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            marks, lo = next(results)
+            marks = next(results).cells
             peak = tracemalloc.get_traced_memory()[1] - base
             nfft = sets._fft_length(marks.size)
             assert a.count**2 > sets._PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)  # the FFT ran
@@ -627,7 +698,7 @@ def test_direct_pairs_stay_within_their_price(monkeypatch, count):
     gaps = np.arange(-1000, 1001)
     expected = np.zeros(hi - lo + 1, dtype=np.int64)
     expected[1000 * gaps - lo] = 1001 - abs(gaps)
-    assert np.array_equal(result, expected if count else expected > 0)
+    assert np.array_equal(result.cells, expected if count else expected > 0)
 
 
 @pytest.mark.parametrize("count", [True, False], ids=["counts", "marks"])
@@ -651,9 +722,9 @@ def test_sorted_pairs_stay_within_their_price(count):
         tracemalloc.stop()
     assert peak <= priced + 2**16
     expected = diff_rep_counts(members.tolist())
-    assert (sets._support(result, lo)).tolist() == sorted(expected)
+    assert result.support().tolist() == sorted(expected)
     if count:
-        assert dict(zip(sets._support(result, lo).tolist(), result.runs.tolist())) == expected
+        assert dict(zip(result.support().tolist(), result.cells.tolist())) == expected
 
 
 def spy_on_branches(monkeypatch) -> list[str]:
