@@ -23,7 +23,7 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ExperimentAborted, ResourceBudgetError
-from .predictions import PredictionBundle, asymptotic_bundle
+from .predictions import PredictionBundle, asymptotic_bundle, expected_tuple_count
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import KIND_FORMS, LinearForm, _grown_images, _histogram, _self_pair_sums
@@ -388,10 +388,16 @@ def _statistic_columns(spec: StatisticsSpec) -> list[_Column]:
                 (lambda b, f=f: b.forms[f][1]) if predicted else None,
             ),
         ]
-    cols += [_Column(f"x{k}", lambda r, i=k - 1: r.x[i]) for k in range(1, spec.max_k + 1)]
-    cols += [_Column(f"xp{k}", lambda r, i=k - 1: r.xp[i]) for k in range(1, spec.max_k + 1)]
+    # x{k} and xp{k}, the TrialRecord's x and xp, predict the leading-order
+    # E[X_k] of the sum and diff histograms; y is xp2 // 2
+    for stem, kind in (("x", "sum"), ("xp", "diff")):
+        cols += [
+            _Column(f"{stem}{k}", lambda r, s=stem, i=k - 1: getattr(r, s)[i],
+                    lambda b, kind=kind, k=k: expected_tuple_count(b.n, b.p, k, kind))
+            for k in range(1, spec.max_k + 1)
+        ]
     if spec.y:
-        cols.append(_Column("y", attrgetter("y")))
+        cols.append(_Column("y", attrgetter("y"), lambda b: expected_tuple_count(b.n, b.p, 2, "diff") / 2))
     return cols
 
 

@@ -141,9 +141,6 @@ class PredictionBundle:
     forms: dict[LinearForm, tuple[float, float]] = field(default_factory=dict)
     c: float | None = None
 
-    def form_prediction(self, form: LinearForm) -> tuple[float, float]:
-        return self.forms[form]
-
 
 def _resolve_regime(family: PFamily, regime: str | None) -> str:
     if family.variant == "power-law":
@@ -189,13 +186,6 @@ def asymptotic_bundle(
     bundle = PredictionBundle(regime, n, p, s, d, sc, dc, c=c)
     bundle.forms.update((f, size_and_missing(f, f.weight * n)) for f in forms)
     return bundle
-
-
-def missing_sum_probability(n: int, p: float, value: int) -> float:
-    """Exact P(value not in A+A) for A binomial over [0, n], value in [0, 2n]."""
-    n, p = _integer(n, "n", least=0), _real(p, "p", hi=1.0)
-    value = _integer(value, "value", 0, 2 * n)
-    return math.exp(_log_missing_sum(min(value, 2 * n - value), p))
 
 
 def _log_missing_sum(m, p: float):

@@ -266,11 +266,24 @@ class RepHistogram:
     kind: str
     domain_lo: int
     domain_hi: int
-    _sums: _PairSums = field(repr=False)
+    _sums: _PairSums = field(repr=False, compare=False)
     form: LinearForm | None = None
 
     def __post_init__(self):
         self._sums.cells.flags.writeable = False
+
+    def __eq__(self, other):
+        """Same kind, domain and form, and the same R(value) at every value,
+        whichever layout holds the counts.  The hash covers the first three."""
+        if not isinstance(other, RepHistogram):
+            return NotImplemented
+        mine, theirs = self._sums, other._sums
+        return (
+            (self.kind, self.domain_lo, self.domain_hi, self.form)
+            == (other.kind, other.domain_lo, other.domain_hi, other.form)
+            and np.array_equal(mine.support(), theirs.support())
+            and np.array_equal(mine.multiplicities(), theirs.multiplicities())
+        )
 
     def count(self, value: int) -> int:
         value = _integer(value, "value")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import BracketingError
 from .predictions import _threshold_ratio, alpha
-from .sampling import PFamily
 from .sets import LinearForm, _real
 
 VALIDITY_NOTE = "valid where N^-3/5 = o(p(N)) and p(N) = o(1)"
@@ -108,43 +107,3 @@ def dominator_at(f: LinearForm, g: LinearForm, c: float) -> LinearForm | None:
     if abs(h) < _TIE_SCALE * f.weight:
         return None
     return f if h > 0 else g
-
-
-@dataclass(frozen=True)
-class RegimeDomination:
-    dominator: LinearForm | None  # None: tie, or model breakdown
-    regime: str  # above-threshold | between | at-threshold | breakdown
-    rationale: str
-    breakdown: bool = False
-
-
-def regime_dominator(f: LinearForm, g: LinearForm, family: PFamily) -> RegimeDomination:
-    """Dominating form for a power-law family, dispatched on delta.
-
-    delta < 1/2: the dominator above the threshold scale (larger u+|v|,
-    ties broken by smaller alpha), as in classify_pair.
-    1/2 < delta < 3/5: the dominator below (smaller alpha).
-    delta = 1/2: sign of the threshold-regime comparison at c.
-    delta >= 3/5: the binomial model cannot separate the forms.
-    """
-    _, below, above = _dominators(f, g)
-    if family.variant != "power-law":
-        raise ValueError("regime dispatch requires a power-law family")
-    delta = family.delta
-    if delta >= 0.6:
-        return RegimeDomination(
-            None,
-            "breakdown",
-            f"delta={delta:g} >= 3/5: set-size noise swamps the comparison",
-            breakdown=True,
-        )
-    if delta == 0.5:
-        winner = dominator_at(f, g, family.c)
-        return RegimeDomination(winner, "at-threshold", f"sign of the ratio-function gap at c={family.c:g}")
-    if delta > 0.5:
-        winner, regime, why = below, "between", "smaller alpha loses fewer values to collisions"
-    elif f.weight != g.weight:
-        winner, regime, why = above, "above-threshold", "larger u+|v| saturates a wider interval"
-    else:
-        winner, regime, why = above, "above-threshold", "equal u+|v|: smaller u|v| misses fewer values"
-    return RegimeDomination(winner, regime, why if winner else "identical (u, |v|): indistinguishable")

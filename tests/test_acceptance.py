@@ -371,3 +371,31 @@ def test_criterion_11_explicit_bound_verification():
     assert check.card_violation_rate <= check.report.P1
     assert check.y_violation_rate <= check.report.P2
     assert check.ok
+
+
+def test_criterion_12_tuple_count_predictions():
+    # x_k and xp_k are the collision counts X_k of the sum and diff
+    # histograms, and y is xp2 // 2.  x1 = |A|(|A|+1)/2 and xp1 = |A|^2 - |A|
+    # count no collisions and are not gated: expected_tuple_count is the
+    # leading order, which leaves out x1's +N*p term (x1 reads z = 1.93 here).
+    started = time.perf_counter()
+    config = ExperimentConfig(
+        n_list=(10**5,),
+        family=PFamily.power_law(1.0, 0.6),
+        trials=200,
+        seed=20260812,
+        statistics=StatisticsSpec(sizes=False, missing=False, max_k=3, y=True),
+        threads="auto",
+    )
+    _, summary = run_experiment(config)
+    stats = summary[10**5]
+    z = {name: (stats[name].mean - stats[name].prediction) / stats[name].se
+         for name in ("x2", "x3", "xp2", "xp3", "y")}
+    ok = all(abs(v) <= 4 for v in z.values())
+    _report(
+        12,
+        ok,
+        "; ".join(f"{name} z={v:+.2f}" for name, v in z.items()) + " (window |z| <= 4)",
+        started,
+    )
+    assert ok, z

@@ -49,7 +49,6 @@ from sumdiff.predictions import (
     expected_tuple_count,
     g_form,
     janson_missing_diffs_bounds,
-    missing_sum_probability,
     series_partial_g,
 )
 from sumdiff.sampling import sample_uniforms
@@ -336,11 +335,11 @@ def test_summary_predictions_by_column():
         "form_2_-1_missing": bundle.forms[f2][1],
         "form_1_1_-1_size": None,
         "form_1_1_-1_missing": None,
-        "x1": None,
-        "x2": None,
-        "xp1": None,
-        "xp2": None,
-        "y": None,
+        "x1": expected_tuple_count(400, bundle.p, 1, "sum"),
+        "x2": expected_tuple_count(400, bundle.p, 2, "sum"),
+        "xp1": expected_tuple_count(400, bundle.p, 1, "diff"),
+        "xp2": expected_tuple_count(400, bundle.p, 2, "diff"),
+        "y": expected_tuple_count(400, bundle.p, 2, "diff") / 2,
     }
 
 
@@ -489,15 +488,12 @@ _HIST = rep_histogram(IntegerSet([0, 1, 2, 4], 0, 4), "diff")
         ("k", lambda x: expected_tuple_count(100, 0.1, x, "diff"), True, 2),
         ("k", lambda x: expected_tuple_count(100, 0.1, x, "diff"), 1.5, 2),
         ("N", lambda x: expected_tuple_count(x, 0.1, 2, "diff"), 10.5, 100),
-        ("n", lambda x: missing_sum_probability(x, 0.1, 3), 10.5, 10),
-        ("value", lambda x: missing_sum_probability(10, 0.1, x), 3.5, 3),
         ("n", lambda x: exact_missing_sums_expectation(x, 0.1), 10.5, 10),
         ("n", lambda x: janson_missing_diffs_bounds(x, 0.1), True, 10),
         ("N", lambda x: bound_report(1, 0.6, 0.1, x), 10.5, 100),
         ("N", lambda x: alt_parameterization(1, 0.6, x), 10.5, 100),
         ("k", lambda x: tuple_statistic(_HIST, x), True, 2),
         ("k", lambda x: tuple_statistic(_HIST, x), 2.0, 2),
-        ("value", lambda x: missing_sum_probability(10, 0.1, x), 21, 20),
         ("max_k", lambda x: StatisticsSpec(max_k=x), -1, 0),
     ],
     ids=[
@@ -505,9 +501,9 @@ _HIST = rep_histogram(IntegerSet([0, 1, 2, 4], 0, 4), "diff")
         "sampler-trial-index", "crossover-n", "crossover-trials", "enumerate-bool", "enumerate-float",
         "spec-max_k", "config-threads-bool", "crossover-threads-bool", "p_of-float", "sample-bool",
         "sample-float", "series-m", "g_form-u", "g_form-v", "alpha-u", "alpha-v", "tuple-count-bool",
-        "tuple-count-float", "tuple-count-n", "missing-sum-n", "missing-sum-value", "missing-sums-n", "janson-n",
+        "tuple-count-float", "tuple-count-n", "missing-sums-n", "janson-n",
         "bound-report-n", "alt-bounds-n", "tuple-statistic-bool", "tuple-statistic-float",
-        "missing-sum-value-above-2n", "spec-max_k-negative",
+        "spec-max_k-negative",
     ],
 )
 def test_counts_must_be_integers(what, call, bad, good):
@@ -529,7 +525,6 @@ def test_counts_must_be_integers(what, call, bad, good):
         ("p", lambda x: PFamily.explicit(x), "0.5", np.float64(0.5)),
         ("p", lambda x: sample(10, x, SamplerSeed(0)), "0.5", np.float64(0.5)),
         ("p", lambda x: expected_tuple_count(100, x, 2, "diff"), math.nan, np.float64(0.1)),
-        ("p", lambda x: missing_sum_probability(10, x, 3), "0.1", np.float64(0.1)),
         ("p", lambda x: exact_missing_sums_expectation(10, x), "0.1", np.float64(0.1)),
         ("p", lambda x: janson_missing_diffs_bounds(10, x), "0.1", np.float64(0.1)),
         ("c", lambda x: bound_report(x, 0.6, 0.1, 100), math.nan, np.float64(1.0)),
@@ -560,7 +555,6 @@ def test_counts_must_be_integers(what, call, bad, good):
     ],
     ids=[
         "power-law-c-nan", "family-c-bool", "power-law-c-bool", "family-p-str", "explicit-p-str", "sample-p-str", "tuple-count-p-nan",
-        "missing-sum-p-str",
         "missing-sums-p-str", "janson-p-str", "bound-report-c-nan", "bound-report-c-inf",
         "alt-bounds-c-nan", "dominator-c-nan", "dominator-c-inf", "spec-sizes-int",
         "spec-missing-none", "spec-y-str", "spec-forms-tuples", "spec-forms-form", "config-family-str",

@@ -19,14 +19,13 @@ from sumdiff import (
     g_ratio,
     janson_missing_diffs_bounds,
     make_set,
-    missing_sum_probability,
     rep_histogram,
     series_partial_g,
     sumset,
     symmetry_count,
 )
 
-from sumdiff.predictions import _SERIES_CUTOVER
+from sumdiff.predictions import _SERIES_CUTOVER, _log_missing_sum
 
 from oracles import subsets
 
@@ -262,7 +261,7 @@ def test_bundle_regime_below_ratio_two():
     bundle = asymptotic_bundle(10**6, PFamily.power_law(1.0, 0.7), (LinearForm((2, -1)),))
     assert bundle.regime == "below"
     assert bundle.D_pred / bundle.S_pred == 2.0
-    df, dfc = bundle.form_prediction(LinearForm((2, -1)))
+    df, dfc = bundle.forms[LinearForm((2, -1))]
     assert df == bundle.D_pred
     assert dfc == 3 * 10**6 - df
 
@@ -275,14 +274,14 @@ def test_bundle_regime_above():
     assert bundle.Sc_pred == pytest.approx(4 / p**2)
     assert bundle.Dc_pred == pytest.approx(2 / p**2)
     assert bundle.Sc_pred == pytest.approx(2 * bundle.Dc_pred)
-    _, dfc = bundle.form_prediction(LinearForm((2, -1)))
+    _, dfc = bundle.forms[LinearForm((2, -1))]
     assert dfc == pytest.approx(2 * 2 * 1 / p**2)
 
 
 def test_bundle_form_prediction_threshold_regime():
     f = LinearForm((2, -1))
     bundle = asymptotic_bundle(10**6, PFamily.power_law(2.0, 0.5), (f,))
-    df, _ = bundle.form_prediction(f)
+    df, _ = bundle.forms[f]
     assert df == pytest.approx(g_form(2, 1, 4.0 / 2.0) * 10**6)
 
 
@@ -291,7 +290,7 @@ def test_bundle_at_tiny_c_takes_the_limit_zero():
     g = LinearForm((5, -1))
     bundle = asymptotic_bundle(10**6, PFamily.power_law(1e-200, 0.5), (g,))
     assert bundle.S_pred == bundle.D_pred == 0.0
-    assert bundle.form_prediction(g) == (0.0, 6 * 10**6)
+    assert bundle.forms[g] == (0.0, 6 * 10**6)
 
 
 # S, D, Sc, Dc as float.hex, recorded before the per-form rule replaced the
@@ -347,6 +346,11 @@ def test_bundle_rejects_regime_contradiction_and_bad_forms():
 # --- exact expectation of missing sums
 
 
+def missing_sum_probability(n, p, value):
+    """P(value not in A+A), as exact_missing_sums_expectation sums it."""
+    return math.exp(_log_missing_sum(min(value, 2 * n - value), p))
+
+
 def test_missing_sum_probability_small_cases():
     p = 0.5
     assert missing_sum_probability(2, p, 0) == pytest.approx(0.5)
@@ -356,7 +360,7 @@ def test_missing_sum_probability_small_cases():
     assert missing_sum_probability(2, p, 4) == pytest.approx(0.5)  # mirror of 0
     for bad in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match="p must be"):
-            missing_sum_probability(2, bad, 0)
+            exact_missing_sums_expectation(2, bad)
 
 
 @pytest.mark.parametrize("n, value", [(10**10, 10**10), (10**10, 10**10 - 1), (3 * 10**9, 17)])

@@ -540,6 +540,29 @@ def test_histogram_arrays_are_read_only(sort_step):
     assert dict(hist.nonzero_items()) == dict(sum_rep_counts([0, 1, 5]))
 
 
+def test_histograms_compare_by_value():
+    # Kind, domain, form and counts decide, whichever layout holds the
+    # counts, and equal histograms hash equal.
+    a = make_set([0, 1, 5], 0, 10)
+    first, again = rep_histogram(a, "sum"), rep_histogram(a, "sum")
+    assert first == again and hash(first) == hash(again)
+    assert first != rep_histogram(a, "diff")
+    assert first != rep_histogram(make_set([0, 2, 5], 0, 10), "sum")
+    assert first != rep_histogram(make_set([0, 1, 5], 0, 11), "sum")
+    assert rep_histogram(a, "form", LinearForm((2, -1))) != rep_histogram(a, "form", LinearForm((3, -1)))
+    for kind, form in (("sum", None), ("diff", None), ("form", LinearForm((3, -2)))):
+        layouts = []
+        for sort_step in (1e9, 1e-9):
+            with mock.patch.object(sets, "_PAIRS_PER_SORT_STEP", sort_step):
+                layouts.append(rep_histogram(a, kind, form))
+        dense, ordered = layouts
+        assert dense._sums.offsets is None and ordered._sums.offsets is not None
+        assert dense == ordered and hash(dense) == hash(ordered)
+    far = make_set([0, 5, 10**9], 0, 10**9)
+    assert rep_histogram(far, "diff") == rep_histogram(far, "diff")
+    assert first != "histogram"
+
+
 def test_memory_budget_refuses_largest_priced_fft():
     # the widest FFT within the pair budget (nfft = 3*2^27, cost 9.2e9)
     # would need ~19.7 GB; it is refused without allocating

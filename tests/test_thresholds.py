@@ -7,12 +7,10 @@ import pytest
 from sumdiff import (
     BracketingError,
     LinearForm,
-    PFamily,
     alpha,
     classify_pair,
     dominator_at,
     g_form,
-    regime_dominator,
     solve_threshold,
 )
 
@@ -130,7 +128,6 @@ def test_dominator_at_tiny_c_is_a_tie():
     # 0 there: a tie, as at every c below ~1e-5
     assert dominator_at(F43, G51, 1e-5) is None
     assert dominator_at(F43, G51, 1e-200) is None
-    assert regime_dominator(F43, G51, PFamily.power_law(1e-200, 0.5)).dominator is None
 
 
 def test_dominator_at_tie_for_matching_profiles():
@@ -141,53 +138,34 @@ def test_dominator_at_tie_for_matching_profiles():
         dominator_at(f, g, 0.0)
 
 
-# --- regime dispatch
+# --- the dominator in each regime
 
 
 def test_regime_above_threshold_weight_rule():
-    out = regime_dominator(LinearForm((3, -1)), LinearForm((2, -1)), PFamily.power_law(1.0, 0.3))
-    assert out.dominator == LinearForm((3, -1))
-    assert not out.breakdown
+    report = classify_pair(LinearForm((3, -1)), LinearForm((2, -1)))
+    assert report.dominator_above == LinearForm((3, -1)).label()
 
 
 def test_regime_between_alpha_rule():
-    out = regime_dominator(LinearForm((2, -1)), LinearForm((1, -1)), PFamily.power_law(1.0, 0.55))
-    assert out.dominator == LinearForm((2, -1))  # 5/24 < 1/3
-
-
-def test_regime_breakdown():
-    out = regime_dominator(F43, G51, PFamily.power_law(1.0, 0.7))
-    assert out.breakdown and out.dominator is None
-    out = regime_dominator(F43, G51, PFamily.power_law(1.0, 0.6))
-    assert out.breakdown
+    report = classify_pair(LinearForm((2, -1)), LinearForm((1, -1)))
+    assert report.dominator_below == LinearForm((2, -1)).label()  # 5/24 < 1/3
 
 
 def test_regime_at_threshold_uses_c():
     root = solve_threshold(F43, G51)
-    low = regime_dominator(F43, G51, PFamily.power_law(root / 2, 0.5))
-    high = regime_dominator(F43, G51, PFamily.power_law(root * 2, 0.5))
-    assert low.dominator == G51
-    assert high.dominator == F43
+    assert dominator_at(F43, G51, root / 2) == G51
+    assert dominator_at(F43, G51, root * 2) == F43
 
 
 def test_regime_weight_tie_breaks_by_u():
-    out = regime_dominator(LinearForm((3, -2)), LinearForm((4, -1)), PFamily.power_law(1.0, 0.3))
-    assert out.dominator == LinearForm((4, -1))
-    assert out.rationale.startswith("equal u+|v|")
-
-
-def test_regime_rationales():
-    family = PFamily.power_law(1.0, 0.3)
-    assert "wider interval" in regime_dominator(F43, G51, family).rationale
-    assert "alpha" in regime_dominator(F43, G51, PFamily.power_law(1.0, 0.55)).rationale
-    same = regime_dominator(LinearForm((2, -1)), LinearForm((2, 1)), family)
-    assert same.dominator is None and same.rationale.startswith("identical")
+    report = classify_pair(LinearForm((3, -2)), LinearForm((4, -1)))
+    assert report.dominator_above == LinearForm((4, -1)).label()
 
 
 def test_regime_dominator_follows_weight_and_alpha_rules():
     # every ordered pair of difference forms with u <= 8: above the threshold
-    # scale the larger u+|v| wins (ties: the larger u), between it and
-    # N^-3/5 the smaller alpha; classify_pair names the same winners
+    # scale the larger u+|v| wins (ties: the larger u), below it the
+    # smaller alpha
     forms = [
         LinearForm((u, s * av))
         for u in range(1, 9)
@@ -201,16 +179,9 @@ def test_regime_dominator_follows_weight_and_alpha_rules():
         above = None if key_above == (0, 0) else (f if key_above > (0, 0) else g)
         af, ag = alpha(f.u, abs(f.v)), alpha(g.u, abs(g.v))
         below = None if af == ag else (f if af < ag else g)
-        assert regime_dominator(f, g, PFamily.power_law(1.0, 0.3)).dominator == above
-        assert regime_dominator(f, g, PFamily.power_law(1.0, 0.55)).dominator == below
         report = classify_pair(f, g)
         assert report.dominator_above == (above.label() if above else "same")
         assert report.dominator_below == (below.label() if below else "same")
-
-
-def test_regime_requires_power_law():
-    with pytest.raises(ValueError):
-        regime_dominator(F43, G51, PFamily.explicit(0.01))
 
 
 # --- consistency across regimes
