@@ -15,8 +15,9 @@ from .bounds import alt_parameterization, ratio_claim
 from .errors import BracketingError, ExperimentAborted, ResourceBudgetError
 from .experiments import (
     ExperimentConfig,
-    form_column_stem,
     StatisticsSpec,
+    _format_value,
+    _statistic_columns,
     empirical_crossover,
     enumerate_exhaustive,
     load_config,
@@ -128,13 +129,9 @@ def _cmd_sample(args) -> int:
     config = ExperimentConfig((args.n,), _family_from(args), 1, args.seed, spec)
     r = run_trial(config, args.n, args.trial_index)
     print(f"N={args.n} p={r.p:.17g} seed={args.seed} trial={args.trial_index}")
-    print(f"set_size={r.set_size}")
-    print(f"sumset_size={r.sumset_size} missing_sums={r.missing_sums}")
-    print(f"diffset_size={r.diffset_size} missing_diffs={r.missing_diffs}")
+    for col in _statistic_columns(spec):  # the statistic cells of the sweep CSV
+        print(f"{col.name}={_format_value(col.cell(r))}")
     print(f"classification={_domination_label(r.sumset_size, r.diffset_size)}")
-    for f in args.form:
-        stem = form_column_stem(f)
-        print(f"{stem}_size={r.form_sizes[f]} {stem}_missing={r.form_missing[f]}")
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ from .predictions import PredictionBundle, asymptotic_bundle, expected_tuple_cou
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import KIND_FORMS, LinearForm, _grown_images, _histogram, _self_pair_sums
-from .sets import _integer, _real, _tuple_count, multiplicity_profile
+from .sets import _boolean, _integer, _real, _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
 from .thresholds import classify_pair
@@ -50,10 +50,7 @@ class StatisticsSpec:
 
     def __post_init__(self):
         for name in ("sizes", "missing", "y"):
-            flag = getattr(self, name)
-            if not isinstance(flag, (bool, np.bool_)):
-                raise ValueError(f"{name} must be a boolean, got {flag!r}")
-            object.__setattr__(self, name, bool(flag))
+            object.__setattr__(self, name, _boolean(getattr(self, name), name))
         object.__setattr__(self, "max_k", _integer(self.max_k, "max_k", 0, MAX_K))
         forms = self.forms
         if not isinstance(forms, (tuple, list)) or not all(isinstance(f, LinearForm) for f in forms):
@@ -104,65 +101,72 @@ def _reject_unknown(mapping: dict, allowed: Iterable[str], where: str) -> None:
         raise ValueError(f"unknown {where} fields: {sorted(unknown)}")
 
 
-# The JSON values a config field may hold, by the name its error gives them.
-# Types are compared exactly, so that a JSON boolean is not an integer.
-_KINDS: dict[str, Callable[[Any], bool]] = {
-    "a boolean": lambda v: type(v) is bool,
-    "an integer": lambda v: type(v) is int,
-    "an integer or 'auto'": lambda v: type(v) is int or v == "auto",
-    "a number": lambda v: type(v) in (int, float),
-    "a string": lambda v: type(v) is str,
-    "an object": lambda v: type(v) is dict,
-    "a list of integers": lambda v: type(v) is list and all(type(x) is int for x in v),
-    "a list of forms": lambda v: type(v) is list and all(map(_KINDS["a list of integers"], v)),
-}
-
-
-def _field(obj: dict, key: str, kind: str, where: str, default: Any = None) -> Any:
-    """``obj[key]``, of ``kind`` (a key of _KINDS); ``default`` if absent, required if None."""
+def _field(obj: dict, key: str, where: str, check: Callable[[Any, str], Any], default: Any = None) -> Any:
+    """``check(obj[key], what)``, ``what`` naming the field; ``default`` if absent, required if None."""
     if key not in obj:
         if default is None:
             raise ValueError(f"{where} field {key!r} is required")
         return default
-    value = obj[key]
-    if not _KINDS[kind](value):
-        raise ValueError(f"{where} field {key!r} must be {kind}, got {value!r}")
-    return value
+    return check(obj[key], f"{where} field {key!r}")
+
+
+def _json(kind: type, name: str) -> Callable[[Any, str], Any]:
+    """A check that a JSON value is of ``kind`` itself; _integer, _real and
+    _boolean check the scalars, so that a JSON boolean is not an integer."""
+    def check(value: Any, what: str) -> Any:
+        if type(value) is not kind:
+            raise ValueError(f"{what} must be {name}, got {value!r}")
+        return value
+    return check
+
+
+_object, _list, _string = _json(dict, "a JSON object"), _json(list, "a list"), _json(str, "a string")
+
+
+def _number(value: Any, what: str) -> float:
+    return _real(value, what, -math.inf, math.inf)  # finite; PFamily checks the range
+
+
+def _integers(value: Any, what: str) -> list[int]:
+    return [_integer(x, f"{what}[{i}]") for i, x in enumerate(_list(value, what))]
+
+
+def _forms(value: Any, what: str) -> tuple[LinearForm, ...]:
+    return tuple(LinearForm(tuple(_integers(f, f"{what}[{i}]"))) for i, f in enumerate(_list(value, what)))
 
 
 def _family_from_json(obj: dict) -> PFamily:
     _reject_unknown(obj, {"variant", "p", "c", "delta"}, "family")
-    numbers = {k: _field(obj, k, "a number", "family") for k in obj if k != "variant"}
-    return PFamily(_field(obj, "variant", "a string", "family"), **numbers)
+    numbers = {k: _field(obj, k, "family", _number) for k in obj if k != "variant"}
+    return PFamily(_field(obj, "variant", "family", _string), **numbers)
 
 
 def _statistics_from_json(obj: dict) -> StatisticsSpec:
     _reject_unknown(obj, {"sizes", "missing", "xk", "forms", "y"}, "statistics")
-    forms = _field(obj, "forms", "a list of forms", "statistics", [])
     return StatisticsSpec(
-        sizes=_field(obj, "sizes", "a boolean", "statistics", True),
-        missing=_field(obj, "missing", "a boolean", "statistics", True),
-        max_k=_field(obj, "xk", "an integer", "statistics", 0),
-        forms=tuple(LinearForm(tuple(f)) for f in forms),
-        y=_field(obj, "y", "a boolean", "statistics", False),
+        sizes=_field(obj, "sizes", "statistics", _boolean, True),
+        missing=_field(obj, "missing", "statistics", _boolean, True),
+        max_k=_field(obj, "xk", "statistics", _integer, 0),
+        forms=_field(obj, "forms", "statistics", _forms, ()),
+        y=_field(obj, "y", "statistics", _boolean, False),
     )
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
     """The config of a JSON document; a field missing or of the wrong type is a ValueError."""
-    if type(obj) is not dict:
-        raise ValueError(f"a config must be a JSON object, got {obj!r}")
     _reject_unknown(
-        obj, {"n_list", "family", "trials", "seed", "statistics", "output", "threads"}, "config"
+        _object(obj, "a config"),
+        {"n_list", "family", "trials", "seed", "statistics", "output", "threads"},
+        "config",
     )
     return ExperimentConfig(
-        n_list=tuple(_field(obj, "n_list", "a list of integers", "config")),
-        family=_family_from_json(_field(obj, "family", "an object", "config")),
-        trials=_field(obj, "trials", "an integer", "config"),
-        seed=_field(obj, "seed", "an integer", "config", 0),
-        statistics=_statistics_from_json(_field(obj, "statistics", "an object", "config", {})),
-        output=obj.get("output", "csv"),
-        threads=_field(obj, "threads", "an integer or 'auto'", "config", "auto"),
+        n_list=tuple(_field(obj, "n_list", "config", _integers)),
+        family=_family_from_json(_field(obj, "family", "config", _object)),
+        trials=_field(obj, "trials", "config", _integer),
+        seed=_field(obj, "seed", "config", _integer, 0),
+        statistics=_statistics_from_json(_field(obj, "statistics", "config", _object, {})),
+        output=obj.get("output", "csv"),  # ExperimentConfig checks these two
+        threads=obj.get("threads", "auto"),
     )
 
 
@@ -173,9 +177,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One trial's statistics.  ``form_missing[f]`` is w*N - |f(A)|, w the sum of
-    f's |coefficients|: one less than how many of the w*N + 1 values f can take
-    f(A) misses, so a full image reads -1 and (1, -1) reads missing_diffs - 1."""
+    """What one trial measured; _statistic_columns derives the missing counts."""
 
     n: int
     p: float
@@ -183,10 +185,7 @@ class TrialRecord:
     set_size: int
     sumset_size: int | None = None
     diffset_size: int | None = None
-    missing_sums: int | None = None
-    missing_diffs: int | None = None
     form_sizes: dict[LinearForm, int] = field(default_factory=dict)
-    form_missing: dict[LinearForm, int] = field(default_factory=dict)
     x: tuple[int, ...] = ()
     xp: tuple[int, ...] = ()
     y: int | None = None
@@ -209,7 +208,6 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     p = p_of(config.family, n)
     a = sample(n, p, SamplerSeed(config.seed, trial_index))
     spec = config.statistics
-    total = 2 * n + 1
 
     # One call for every image and histogram, so that they share A's spectrum
     # at each FFT length.  Each form is requested once: as counts if its
@@ -229,12 +227,6 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
         profiles[kind] = multiplicity_profile(hist)
 
     sum_size, diff_size = (sizes[f] for f in sized) if sized else (None, None)
-    miss_s = miss_d = None
-    if spec.missing:
-        miss_s = total - sum_size
-        miss_d = total - diff_size
-    form_sizes = {f: sizes[f] for f in spec.forms}
-    form_missing = {f: f.weight * n - size for f, size in form_sizes.items()}
 
     xs = xps = ()
     y = None
@@ -256,10 +248,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
         set_size=a.count,
         sumset_size=sum_size,
         diffset_size=diff_size,
-        missing_sums=miss_s,
-        missing_diffs=miss_d,
-        form_sizes=form_sizes,
-        form_missing=form_missing,
+        form_sizes={f: sizes[f] for f in spec.forms},
         x=xs,
         xp=xps,
         y=y,
@@ -337,10 +326,6 @@ def _summarize(values: Sequence[float], prediction: float | None) -> StatSummary
     )
 
 
-def form_column_stem(form: LinearForm) -> str:
-    return "form_" + "_".join(str(c) for c in form.coeffs)
-
-
 @dataclass(frozen=True)
 class _Column:
     """One CSV/JSON column: its name, its cell and, if any, its prediction."""
@@ -367,15 +352,16 @@ def _statistic_columns(spec: StatisticsSpec) -> list[_Column]:
             _Column("sumset_size", attrgetter("sumset_size"), attrgetter("S_pred")),
             _Column("diffset_size", attrgetter("diffset_size"), attrgetter("D_pred")),
         ]
+    # Sc, Dc take misses from 2N + 1 values; the paper's Dfc from w*N, so a full image reads -1
     if spec.missing:
         cols += [
-            _Column("missing_sums", attrgetter("missing_sums"), attrgetter("Sc_pred")),
-            _Column("missing_diffs", attrgetter("missing_diffs"), attrgetter("Dc_pred")),
+            _Column("missing_sums", lambda r: 2 * r.n + 1 - r.sumset_size, attrgetter("Sc_pred")),
+            _Column("missing_diffs", lambda r: 2 * r.n + 1 - r.diffset_size, attrgetter("Dc_pred")),
         ]
     for f in spec.forms:
         # the package predicts binary difference forms only
         predicted = f.kind == "binary-difference"
-        stem = form_column_stem(f)
+        stem = "form_" + "_".join(str(c) for c in f.coeffs)
         cols += [
             _Column(
                 f"{stem}_size",
@@ -384,7 +370,7 @@ def _statistic_columns(spec: StatisticsSpec) -> list[_Column]:
             ),
             _Column(
                 f"{stem}_missing",
-                lambda r, f=f: r.form_missing[f],
+                lambda r, f=f: f.weight * r.n - r.form_sizes[f],
                 (lambda b, f=f: b.forms[f][1]) if predicted else None,
             ),
         ]

@@ -141,8 +141,9 @@ class IntegerSet:
 
 def _integer(value: object, what: str, least: int | None = None, most: int | None = None) -> int:
     """``value`` as an int; a ValueError unless it is a Python or numpy integer
-    (not a bool) in [least, most], either bound optional.  This and _real are
-    the package's only checks on the counts and rates it is passed, and their ranges."""
+    (not a bool) in [least, most], either bound optional.  This, _real and
+    _boolean are the package's only checks on the counts, rates and flags it
+    is passed, and their ranges."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     value = int(value)
@@ -162,6 +163,13 @@ def _real(value: object, what: str, lo: float = 0.0, hi: float = math.inf, close
         left, right = "[]" if closed else "()"
         raise ValueError(f"{what} must be a number in {left}{lo:g}, {hi:g}{right}, got {value!r}")
     return float(value)
+
+
+def _boolean(value: object, what: str) -> bool:
+    """``value`` as a bool; a ValueError unless it is a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{what} must be a boolean, got {value!r}")
+    return bool(value)
 
 
 def make_set(elements: Iterable[int], lo: int, hi: int) -> IntegerSet:
@@ -324,6 +332,14 @@ def _image_interval(lo: int, hi: int, coeffs: tuple[int, ...]) -> tuple[int, int
     return sum(min(c * lo, c * hi) for c in coeffs), sum(max(c * lo, c * hi) for c in coeffs)
 
 
+def _check_int64(coeffs: tuple[int, ...], lo: int, hi: int) -> None:
+    """A ValueError unless, for x in [lo, hi], the terms c*x, their sums and
+    the sums' offsets from the image interval's low end all fit int64: none
+    exceeds 2 * weight * max(|lo|, |hi|) in size."""
+    if 2 * sum(map(abs, coeffs)) * max(abs(lo), abs(hi)) >= 2**63:
+        raise ValueError(f"the image of [{lo}, {hi}] under the form {coeffs} does not fit int64")
+
+
 def _self_pair_sums(
     a: IntegerSet, requests: Sequence[tuple[tuple[int, ...], bool]]
 ) -> Iterator[_PairSums]:
@@ -339,6 +355,8 @@ def _self_pair_sums(
     request is binary and the next has the same length, so that neither a
     last inverse transform nor a fold runs beside it.
     """
+    for coeffs, _ in requests:
+        _check_int64(coeffs, a.lo, a.hi)
     members = a.members()
     firsts = [_image_interval(a.lo, a.hi, coeffs[:2]) for coeffs, _ in requests]
     lengths = [_fft_length(hi - lo + 1) for lo, hi in firsts]
@@ -421,6 +439,7 @@ def _grown_images(
     pairs with a new element are summed, u*new with v*members[:end] and
     u*old with v*new.
     """
+    _check_int64(coeffs, 0, n)
     u, v = coeffs
     lo, hi = _image_interval(0, n, coeffs)
     marks = np.zeros(hi - lo + 1, dtype=bool)
@@ -709,18 +728,15 @@ class Classification:
     label: str  # sum-dominated | balanced | difference-dominated
     sumset_size: int
     diffset_size: int
-    missing_sums: int
-    missing_diffs: int
 
 
 def classify(a: IntegerSet) -> Classification:
     """Compare |A+A| with |A-A| for A over I_N = [0, N] (N = a.hi)."""
     if a.lo != 0:
         raise ValueError("classification is defined for sets over [0, N]")
-    n = a.hi
     images = _self_pair_sums(a, [(KIND_FORMS[kind].coeffs, False) for kind in ("sum", "diff")])
     s, d = [next(images).size() for _ in range(2)]
-    return Classification(_domination_label(s, d), s, d, (2 * n + 1) - s, (2 * n + 1) - d)
+    return Classification(_domination_label(s, d), s, d)
 
 
 def _domination_label(sumset_size: int, diffset_size: int) -> str:

@@ -99,7 +99,7 @@ def test_criterion_01_exhaustive_enumeration():
 def test_criterion_02_exact_missing_sums_expectation(dense_records):
     started = time.perf_counter()
     exact = exact_missing_sums_expectation(10**4, 0.5)
-    missing = np.array([r.missing_sums for r in dense_records], dtype=float)
+    missing = np.array([2 * r.n + 1 - r.sumset_size for r in dense_records], dtype=float)
     se = missing.std(ddof=1) / math.sqrt(missing.size)
     gap = abs(missing.mean() - exact)
     ok = abs(exact - 10.0) < 1e-6 and gap <= 4 * se
@@ -119,7 +119,7 @@ def test_criterion_03_janson_bracket(dense_records):
     # resolution, so the bracket check allows the mean's 4*SE either side.
     started = time.perf_counter()
     lower, upper = janson_missing_diffs_bounds(10**4, 0.5)
-    missing = np.array([r.missing_diffs for r in dense_records], dtype=float)
+    missing = np.array([2 * r.n + 1 - r.diffset_size for r in dense_records], dtype=float)
     se = missing.std(ddof=1) / math.sqrt(missing.size)
     mean = missing.mean()
     in_bracket = lower - 4 * se <= mean <= upper + 4 * se
@@ -225,8 +225,8 @@ def test_criterion_06_dense_regime():
     )
     records, _ = run_experiment(config)
     p = MILLION**-0.3
-    sc = np.array([r.missing_sums for r in records], dtype=float)
-    dc = np.array([r.missing_diffs for r in records], dtype=float)
+    sc = np.array([2 * r.n + 1 - r.sumset_size for r in records], dtype=float)
+    dc = np.array([2 * r.n + 1 - r.diffset_size for r in records], dtype=float)
     scaled = sc.mean() * p * p / 4
     ratio = sc.mean() / dc.mean()
     ok = 0.95 <= scaled <= 1.05 and 1.9 <= ratio <= 2.1
@@ -254,7 +254,7 @@ def test_criterion_07_form_missing_count():
     )
     records, _ = run_experiment(config)
     p = MILLION**-0.3
-    dfc = np.array([r.form_missing[form] for r in records], dtype=float)
+    dfc = np.array([form.weight * r.n - r.form_sizes[form] for r in records], dtype=float)
     scaled = dfc.mean() * p * p / (2 * 2 * 1)
     ok = 0.95 <= scaled <= 1.05
     _report(7, ok, f"mean(Dfc)*p^2/(2u|v|)={scaled:.4f} (window [0.95, 1.05])", started)

@@ -134,12 +134,37 @@ def test_sample_with_form(capsys):
     assert f"form_2_-1_size={form_image(a, LinearForm((2, -1))).count}" in out
 
 
+def test_sample_prints_the_sweep_row(capsys):
+    # one name=value line per statistic column, each the cell sweep writes
+    flags = ("--n", "1000", "--p", "0.1", "--seed", "7", "--form", "2,-1", "--form", "1,1,-1")
+    code, out, _ = run_cli(capsys, "sample", *flags)
+    assert code == 0
+    code, table, _ = run_cli(capsys, "sweep", *flags, "--trials", "1", "--threads", "1")
+    assert code == 0
+    (row,) = csv.DictReader(table.splitlines())
+    statistics = [f"{name}={cell}" for name, cell in row.items()][4:]  # after the key columns
+    lines = out.splitlines()
+    assert len(statistics) == 9
+    assert lines[0] == "N=1000 p=0.10000000000000001 seed=7 trial=0"
+    assert lines[1:-1] == statistics
+    assert lines[-1].startswith("classification=")
+
+
 def test_trial_index_beyond_64_bits_is_usage_error():
     proc = run_module("sample", "--n", "100", "--p", "0.5", "--trial-index", str(2**64))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("sumdiff: error:")
+
+
+def test_form_beyond_int64_is_usage_error():
+    # u * members overflowed into a traceback
+    proc = run_module("sample", "--n", "10", "--p", "0.5", "--form", f"{2**70 + 1},-1")
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"sumdiff: error: the image of [0, 10] under the form ({2**70 + 1}, -1) does not fit int64\n"
+    )
 
 
 def test_usage_errors(capsys):

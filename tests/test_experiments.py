@@ -79,14 +79,22 @@ def test_run_trial_deterministic():
     assert a == b
 
 
+def csv_rows(records, spec):
+    """The records' CSV rows, each a dict from column name to cell text."""
+    header, *lines = records_to_csv(records, spec).splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
+
+
 def test_run_trial_complement_identities():
+    # each missing column of the CSV row is its image's span less its size
     config = small_config()
-    for t in range(5):
-        rec = run_trial(config, 400, t)
-        assert rec.missing_sums == (2 * 400 + 1) - rec.sumset_size
-        assert rec.missing_diffs == (2 * 400 + 1) - rec.diffset_size
-        f = LinearForm((2, -1))
-        assert rec.form_missing[f] == 3 * 400 - rec.form_sizes[f]
+    records = [run_trial(config, 400, t) for t in range(5)]
+    for rec, row in zip(records, csv_rows(records, config.statistics)):
+        cells = {name: int(text) for name, text in row.items() if name != "p"}
+        assert cells["sumset_size"] == rec.sumset_size
+        assert cells["missing_sums"] == (2 * 400 + 1) - rec.sumset_size
+        assert cells["missing_diffs"] == (2 * 400 + 1) - rec.diffset_size
+        assert cells["form_2_-1_missing"] == 3 * 400 - rec.form_sizes[LinearForm((2, -1))]
         assert rec.y is not None and rec.y >= 0
         assert len(rec.x) == len(rec.xp) == 3
 
@@ -196,14 +204,15 @@ def test_sparse_trial_at_a_billion(monkeypatch):
     gaps = Counter(b - a for a, b in itertools.combinations(elems, 2))
     assert record == experiments.TrialRecord(
         n=n, p=5e-7, trial_index=0, set_size=500,
-        sumset_size=sums, diffset_size=diffs, missing_sums=2 * n + 1 - sums,
-        missing_diffs=2 * n + 1 - diffs,
-        form_sizes={form: image}, form_missing={form: 3 * n - image},
+        sumset_size=sums, diffset_size=diffs, form_sizes={form: image},
         x=tuple(tuple_statistic_oracle(elems, "sum", k) for k in (1, 2, 3)),
         xp=tuple(tuple_statistic_oracle(elems, "diff", k) for k in (1, 2, 3)),
         y=sum(math.comb(r, 2) for r in gaps.values()),
     )
     assert record.x[2] > 0 and record.y > 0
+    (row,) = csv_rows([record], spec)
+    assert (row["missing_sums"], row["missing_diffs"]) == (str(2 * n + 1 - sums), str(2 * n + 1 - diffs))
+    assert row["form_2_-1_missing"] == str(3 * n - image)
 
 
 def test_sparse_kary_trial_at_a_billion(monkeypatch):
@@ -219,7 +228,9 @@ def test_sparse_kary_trial_at_a_billion(monkeypatch):
     elems = sorted(members.tolist())
     images = {f: len(form_image_oracle(elems, f.coeffs)) for f in forms}
     assert record.form_sizes == images
-    assert record.form_missing == {f: f.weight * n - size for f, size in images.items()}
+    (row,) = csv_rows([record], StatisticsSpec(forms=forms))
+    assert row["form_1_1_1_missing"] == str(3 * n - images[forms[0]])
+    assert row["form_1_-2_1_missing"] == str(4 * n - images[forms[1]])
 
 
 def test_empty_trial_at_a_billion(monkeypatch):
@@ -228,9 +239,10 @@ def test_empty_trial_at_a_billion(monkeypatch):
     record, peak = billion_member_trial(monkeypatch, np.array([], dtype=np.int64), spec)
     n = 10**9
     assert (record.set_size, record.sumset_size, record.diffset_size) == (0, 0, 0)
-    assert (record.missing_sums, record.missing_diffs) == (2 * n + 1, 2 * n + 1)
     assert record.form_sizes == dict.fromkeys(forms, 0)
-    assert record.form_missing == {f: f.weight * n for f in forms}
+    (row,) = csv_rows([record], spec)
+    assert (row["missing_sums"], row["missing_diffs"]) == (str(2 * n + 1), str(2 * n + 1))
+    assert (row["form_2_-1_missing"], row["form_1_1_1_missing"]) == (str(3 * n), str(3 * n))
     assert (record.x, record.xp, record.y) == ((0, 0), (0, 0), 0)
     assert peak < 2**20
 
@@ -805,7 +817,7 @@ def test_kary_form_probe_tracks_conjectured_scaling():
     )
     records, _ = run_experiment(config)
     sizes = [r.form_sizes[form] for r in records]
-    missing = [r.form_missing[form] for r in records]
+    missing = [int(row["form_1_1_-1_missing"]) for row in csv_rows(records, config.statistics)]
     assert all(m + s == 3 * n for m, s in zip(missing, sizes))
     pred = conjecture_prediction(form, n, config.family)
     assert pred.quantity == "image-size"

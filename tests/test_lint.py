@@ -106,13 +106,23 @@ def test_package_has_no_unreferenced_private_names():
 
 
 def integer_type_checks(path):
-    """Lines of ``path`` that call ``isinstance(x, int)``, with ``int`` alone or in a tuple."""
+    """Lines of ``path`` that call ``isinstance(x, int)`` or compare ``type(x)``
+    with ``int`` (``is``, ``==``, ``in`` and their negations), with ``int``
+    alone or in a tuple."""
+
+    def names_int(kinds):
+        kinds = kinds.elts if isinstance(kinds, (ast.Tuple, ast.List, ast.Set)) else [kinds]
+        return any(isinstance(kind, ast.Name) and kind.id == "int" for kind in kinds)
+
+    def calls(node, name):
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == name
+
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
-            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
-            if any(isinstance(kind, ast.Name) and kind.id == "int" for kind in kinds):
-                found.append(node.lineno)
+        if calls(node, "isinstance") and names_int(node.args[1]):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Compare) and calls(node.left, "type") and any(map(names_int, node.comparators)):
+            found.append(node.lineno)
     return found
 
 
@@ -123,10 +133,13 @@ def test_integer_type_checks_flags_int_alone_or_in_a_tuple(tmp_path):
         "    a = isinstance(x, int)\n"
         "    b = isinstance(y, (float, int))\n"
         "    c = isinstance(x, float) or isinstance(y, (bool, str))\n"
-        "    return a or isinstance(x, np.integer) or b or c\n",
+        "    d = type(x) is int\n"
+        "    e = type(y) in (float, int)\n"
+        "    g = type(x) is not str or type(y) == dict or type(x) is kind\n"
+        "    return a or isinstance(x, np.integer) or b or c or d or e or g\n",
         encoding="utf-8",
     )
-    assert integer_type_checks(module) == [2, 3]
+    assert integer_type_checks(module) == [2, 3, 5, 6]
 
 
 def test_package_checks_integers_only_in_sets():

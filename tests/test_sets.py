@@ -99,6 +99,26 @@ def test_make_set_rejects_elements_beyond_int64(elements):
         make_set(elements, 0, 3)
 
 
+@pytest.mark.parametrize(
+    "image",
+    [
+        lambda: form_image(make_set([0, 1, 2, 3], 0, 3), LinearForm((2**63 - 1, -1))),
+        lambda: sumset(make_set([0, 2**62], 0, 2**62)),
+        lambda: next(sets._grown_images(np.array([0, 1]), [2], (3, -1), 2**61)),
+    ],
+    ids=["form-coefficient", "sumset", "grown-image"],
+)
+def test_images_beyond_int64_are_refused(image):
+    # the form's image had 12 of its 16 values, and the sumset a member
+    # -2^63 outside its own interval: int64 sums wrapped
+    with pytest.raises(ValueError, match=r"^the image of \[0, \d+\] under the form \(.*\) does not fit int64"):
+        image()
+
+
+def test_images_near_int64_are_exact():
+    assert sumset(make_set([0, 2**60], 0, 2**60)).members().tolist() == [0, 2**60, 2**61]
+
+
 def test_make_set_accepts_numpy_integers():
     a = make_set(np.array([3, 1], dtype=np.int32), np.int64(0), np.uint8(4))
     assert list(a) == [1, 3] and (a.lo, a.hi) == (0, 4)
@@ -960,8 +980,8 @@ def test_classify_famous_sum_dominated():
     assert result.sumset_size == len(sumset_oracle(list(a)))
     assert result.diffset_size == len(diffset_oracle(list(a)))
     assert result.sumset_size == 26 and result.diffset_size == 25
-    assert result.missing_sums == (2 * 14 + 1) - 26
-    assert result.missing_diffs == (2 * 14 + 1) - 25
+    # 3 of the 29 values of [0, 28] are missing sums, 4 of [-14, 14] missing differences
+    assert (2 * 14 + 1 - result.sumset_size, 2 * 14 + 1 - result.diffset_size) == (3, 4)
 
 
 def test_classify_balanced_and_difference_dominated():
