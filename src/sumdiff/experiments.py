@@ -27,7 +27,7 @@ from .predictions import PredictionBundle, asymptotic_bundle, expected_tuple_cou
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import KIND_FORMS, LinearForm, _grown_images, _histogram, _self_pair_sums
-from .sets import _boolean, _integer, _real, _tuple_count, multiplicity_profile
+from .sets import _boolean, _check_int64, _integer, _real, _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
 from .thresholds import classify_pair
@@ -84,6 +84,8 @@ class ExperimentConfig:
             if n in self.n_list[:i]:
                 raise ValueError(f"N = {n} is repeated in n_list {list(self.n_list)}")
             p_of(self.family, n)  # a p outside (0, 1) is refused before any worker starts
+        for form in self.statistics.forms:
+            _check_int64(form.coeffs, 0, max(self.n_list))  # and so is an image beyond int64
         object.__setattr__(self, "seed", SamplerSeed(self.seed).seed)
         if self.output not in ("csv", "json"):
             raise ValueError("output must be 'csv' or 'json'")

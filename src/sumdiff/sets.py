@@ -7,19 +7,28 @@ values, of a convolution of dilated indicator vectors of A.  One primitive
 computes it by the cheapest of three branches: direct pair sums into an
 array as wide as the image interval, for small sets in narrow intervals;
 the sorted pair sums, which hold only the values some pair makes, for
-small sets in wide intervals; and a real FFT whose rounding is checked to
-be exact, for large sets.  It prices each call by the branch it runs, in
+small sets in wide intervals; and an FFT whose rounding is checked to be
+exact, for large sets.  It prices each call by the branch it runs, in
 time and in memory, and refuses a call that exceeds either budget.
 Every branch returns a _PairSums, whose methods alone read its layout,
-dense or sorted; a RepHistogram keeps it as it came, never spread over
-the interval, so the histogram of a sparse set at N = 10^9 takes a few MB.
+dense, sorted or grid; a RepHistogram keeps it as it came, never spread
+over the interval, so the histogram of a sparse set at N = 10^9 takes a
+few MB.
 
-The images and histograms of one set share its spectrum X, the rfft of
-A's indicator, taken once per FFT length: the pair sums under (u, v) are
-the inverse transform of X(u*k) * X(v*k), and the spectrum of A dilated
-by c is X(c*k mod nfft), read off X by strided slices.  So the sum set,
-the difference set and the (2,-1) image of one large set take 5
-transforms, not 9, in one call whose ordered requests the sharing
+The FFT convolves on a rows x cols grid, rows odd and 3,5-smooth and cols
+a power of 2, that covers the image interval: by Good's and Thomas's
+prime-factor map, offset j sits at (j mod rows, j mod cols), and a cyclic
+convolution of length rows*cols is a 2-D one with no twiddle factors,
+whose short axes transform within cache.  Its result stays on the grid:
+sizes, counts at a value and histogram profiles read it there, and only
+the ordered support and counts gather it into value order.
+
+The images and histograms of one set share its spectrum X, the grid DFT
+of A's indicator, taken once per grid shape: the pair sums under (u, v)
+are the inverse transform of X(u*k) * X(v*k), and the spectrum of A
+dilated by c is X(c*k), read off X by strided slices along both axes.  So
+the sum set, the difference set and the (2,-1) image of one large set take
+5 transforms, not 9, in one call whose ordered requests the sharing
 follows.  A k-ary image starts so too; only its later folds and grown
 images convolve two indicator vectors, with the same inverse transform
 and exactness check.
@@ -31,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from math import gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -46,22 +55,30 @@ PAIR_BUDGET = 10**10
 # bytes: a quarter of an 8 GB host.
 PAIR_MEMORY_BUDGET = 2**31
 
-# Peak FFT workspace per slot of nfft, on top of the result.  24 bytes of
-# numpy arrays, seen by tracemalloc: a float64 buffer and two half-length
-# complex spectra, on both paths.  17 bytes of pocketfft scratch inside one
-# rfft or irfft, which tracemalloc misses: RSS rose 15.9 bytes per slot once
-# the length's plan existed, 16.2 on the first call at that length (nfft =
-# 2^21 and 3*2^20); the larger is priced, rounded up.  See CHANGES.md.
-_FFT_BYTES_PER_SLOT = 24 + 17
+# Peak FFT workspace per cell of its grid, on top of the result.  24 bytes
+# of numpy arrays, seen by tracemalloc: a float64 grid and two half
+# spectra, on both paths.  1 byte of pocketfft scratch, which tracemalloc
+# misses: transforms along the short axes need only a lane's buffer, and
+# RSS rose 0.5 bytes per cell past the arrays on a first call (grids of
+# 2025 x 1024 and 3125 x 1024), rounded up.  See CHANGES.md.
+_FFT_BYTES_PER_SLOT = 24 + 1
 
 # Direct pairs are summed one block of rows at a time, each block of about
 # 10^7 sums, into one reused buffer.
 _CHUNK_ENTRIES = 10**7
 
-# The cost of one FFT step (of nfft*log2(nfft)) in units of one direct pair,
-# measured near the break-even at N = 10^6, |A| ~ 6000 (4-5 ns over 5-6 ns;
-# see the table in CHANGES.md).
-_PAIRS_PER_FFT_STEP = 0.8
+# A grid is gathered into value order this many entries at a time.
+_GATHER_BLOCK = 2**16
+
+# The cost of one FFT step (see _grid_steps) in units of one direct pair,
+# measured at N = 10^6, |A| = 2000 and 6000, marks (1.3-2.0 ns over 5-8.5
+# ns; see the table in CHANGES.md).
+_PAIRS_PER_FFT_STEP = 0.3
+
+# Axes up to _SHORT_AXIS long transform within cache; each doubling past it
+# costs _LONG_AXIS_STEPS more steps per cell (see _grid_steps).
+_SHORT_AXIS = 2**10
+_LONG_AXIS_STEPS = 4.0
 
 # The cost of one sorted-pairs step (of pairs*log2(pairs)) in units of one
 # direct pair: forming, sorting and comparing the sums, 0.47-0.95 ns a step
@@ -300,7 +317,7 @@ class RepHistogram:
         return self._sums.count(value)
 
     def total(self) -> int:
-        return int(self._sums.multiplicities().sum())
+        return int(self._sums.multiplicities(ordered=False).sum())
 
     def support_size(self) -> int:
         """Number of values with R(value) >= 1."""
@@ -349,34 +366,34 @@ def _self_pair_sums(
     request runs.
 
     Every request starts from the pair sums of its first two coefficients,
-    which share A's spectrum X at each FFT length and reuse its arrays: X, a
-    product spectrum and a float64 work buffer.  A k-ary request then folds
+    which share A's spectrum X at each grid shape and reuse its arrays: X, a
+    product spectrum and a float64 work grid.  A k-ary request then folds
     in cj*A for each later cj.  X is kept after a product only if this
-    request is binary and the next has the same length, so that neither a
+    request is binary and the next has the same shape, so that neither a
     last inverse transform nor a fold runs beside it.
     """
     for coeffs, _ in requests:
         _check_int64(coeffs, a.lo, a.hi)
     members = a.members()
     firsts = [_image_interval(a.lo, a.hi, coeffs[:2]) for coeffs, _ in requests]
-    lengths = [_fft_length(hi - lo + 1) for lo, hi in firsts]
-    keeps = [len(c) == 2 and n == after for (c, _), n, after in zip(requests, lengths, lengths[1:] + [0])]
-    held: dict = {}  # nfft: (X, product, work) while the next request has this nfft
+    shapes = [_grid_shape(hi - lo + 1) for lo, hi in firsts]
+    keeps = [len(c) == 2 and s == after for (c, _), s, after in zip(requests, shapes, shapes[1:] + [None])]
+    held: dict = {}  # shape: (X, product, work) while the next request has this shape
 
-    def product(coeffs, start, keep, nfft):
-        if nfft not in held:
-            work = np.zeros(nfft)
-            work[members - a.lo] = 1.0
-            x = np.fft.rfft(work)
-            held[nfft] = x, np.empty_like(x), work
-        x, out, work = held[nfft] if keep else held.pop(nfft)
-        _dilated_product(x, coeffs, nfft, out)
+    def product(coeffs, start, keep, shape):
+        if shape not in held:
+            work = np.zeros(shape)
+            work.ravel()[_crt(members - a.lo, *shape)] = 1.0
+            x = _spectrum(work)
+            held[shape] = x, np.empty_like(x), work
+        x, out, work = held[shape] if keep else held.pop(shape)
+        _dilated_product(x, coeffs, shape[1], out)
         return out, work, start
 
     for (coeffs, count), (lo, hi), keep in zip(requests, firsts, keeps):
         u, v = coeffs[:2]
         # The dilated indicators convolve u*a1 + v*a2 to the index
-        # u*(a1 - a.lo) + v*(a2 - a.lo) mod nfft, so lo - (u+v)*a.lo holds lo.
+        # u*(a1 - a.lo) + v*(a2 - a.lo) mod the grid's size, so lo - (u+v)*a.lo holds lo.
         spectrum = partial(product, (u, v), lo - (u + v) * a.lo, keep)
         sums = _pair_sums(u * members, v * members, lo, hi, count, None, spectrum)
         for j in range(2, len(coeffs)):
@@ -386,47 +403,52 @@ def _self_pair_sums(
         del sums  # not held while the next request runs
 
 
-def _dilated_product(x: np.ndarray, coeffs: tuple[int, ...], nfft: int, out: np.ndarray) -> None:
-    """out[k] = the product over c in ``coeffs`` of X(c*k mod nfft), for k in
-    [0, x.size), where x holds X(0), ..., X(nfft//2), the rfft of a real
-    vector of length nfft.
+def _dilated_product(x: np.ndarray, coeffs: tuple[int, int], cols: int, out: np.ndarray) -> None:
+    """out[k, l] = X(u*k, u*l) * X(v*k, v*l) for (u, v) = ``coeffs``, indices
+    mod the grid's shape (rows, cols), for l in [0, x.shape[1]), where x
+    holds the half spectrum X(k, 0), ..., X(k, cols//2) of a real grid.
 
-    X(c*k mod nfft) is the spectrum of the vector dilated by c, and
-    X(nfft - j) = conj X(j).  Over each run of k on which no c*k mod nfft
-    wraps or passes nfft//2, a factor is a strided slice of x, conjugated
-    or not, so the product is formed in place one run at a time.
+    X(c*k, c*l) is the spectrum of the grid dilated by c, and X(-k, -l) =
+    conj X(k, l).  Over each rectangle of k and l on which no c*k mod rows
+    wraps and no c*l mod cols wraps or passes cols//2, a factor is a strided
+    slice of x, conjugated or not, so the product is formed in place one
+    rectangle at a time, in one or two passes.
     """
-    half = x.size
-    cuts = {0, half}
+    rows, half = x.shape
+    row_cuts, col_cuts = {0, rows}, {0, half}
     for c in coeffs:
         m = abs(c)
         for s in range(m + 1):
-            cuts.update(min(half, -(-edge // m)) for edge in (s * nfft, s * nfft + half))
-    cuts = sorted(cuts)
-    for k0, k1 in zip(cuts, cuts[1:]):
-        seg = out[k0:k1]
-        factors = sorted((_dilation(x, c, k0, k1 - k0, nfft) for c in coeffs), key=lambda f: not f[1])
-        # seg holds the conjugate of the running product while flipped
-        first, flipped = factors[0]
-        np.copyto(seg, first)
-        for view, conj in factors[1:]:
-            if conj != flipped:
-                np.conjugate(seg, out=seg)
-                flipped = conj
-            seg *= view
-        if flipped:
-            np.conjugate(seg, out=seg)
+            edge = -(-s * rows // m)
+            row_cuts.update((min(rows, edge), min(rows, edge + 1)))
+            col_cuts.update(min(half, -(-edge // m)) for edge in (s * cols, s * cols + half))
+    row_cuts, col_cuts = sorted(row_cuts), sorted(col_cuts)
+    for k0, k1 in zip(row_cuts, row_cuts[1:]):
+        for l0, l1 in zip(col_cuts, col_cuts[1:]):
+            seg = out[k0:k1, l0:l1]
+            (a, conj_a), (b, conj_b) = (_dilation(x, c, k0, l0, seg.shape, cols) for c in coeffs)
+            if conj_a == conj_b:
+                np.multiply(a, b, out=seg)
+                if conj_a:
+                    np.conjugate(seg, out=seg)
+            else:  # conj(a) * b or a * conj(b)
+                np.conjugate(a if conj_a else b, out=seg)
+                seg *= b if conj_a else a
 
 
-def _dilation(x: np.ndarray, c: int, k0: int, n: int, nfft: int) -> tuple[np.ndarray, bool]:
-    """X(c*k mod nfft) for k in [k0, k0 + n), a run on which |c|*k mod nfft
-    neither wraps nor passes nfft//2: a strided slice of x, and whether it
-    is to be conjugated."""
+def _dilation(
+    x: np.ndarray, c: int, k0: int, l0: int, shape: tuple[int, int], cols: int
+) -> tuple[np.ndarray, bool]:
+    """X(c*k, c*l) over the rectangle from (k0, l0) of ``shape``, on which
+    |c|*k mod rows does not wrap and |c|*l mod cols neither wraps nor
+    passes cols//2: a strided slice of x, and whether it is to be
+    conjugated.  Past cols//2, X(|c|k, j) = conj X(-|c|k, cols - j), so the
+    rows are read backwards too."""
     m = abs(c)
-    j = m * k0 % nfft
-    if j < x.size:
-        return x[j::m][:n], c < 0
-    return x[nfft - j :: -m][:n], c > 0
+    j = m * l0 % cols
+    step = -m if j >= x.shape[1] else m
+    view = x[step * k0 % x.shape[0] :: step, (j if step > 0 else cols - j) :: step]
+    return view[: shape[0], : shape[1]], (c < 0) != (step < 0)
 
 
 def _grown_images(
@@ -458,33 +480,33 @@ def _pair_sums(
 
     Returns, for each value, the number of pairs summing to it (int64), or
     whether one does (bool) when ``count`` is false, as a _PairSums: dense
-    from the direct and FFT branches, sorted from the sorted one.
-    ``left`` and ``right`` each hold distinct values, and every sum must
-    lie in [lo, hi].  Given ``out`` (of that width and dtype), the result is
-    added into it and the result holds ``out``: counts accumulate, marks are
-    OR-ed in.  Given ``spectrum``, the FFT branch takes its product
-    spectrum from it (see _fft_pair_sums).
+    from the direct branch, on a grid from the FFT branch and sorted from
+    the sorted one.  ``left`` and ``right`` each hold distinct values, and
+    every sum must lie in [lo, hi].  Given ``out`` (of that width and
+    dtype), the result is added into it and the result holds ``out``:
+    counts accumulate, marks are OR-ed in.  Given ``spectrum``, the FFT
+    branch takes its product spectrum from it (see _fft_pair_sums).
 
     Direct pairs cost |left|*|right| plus _PAIRS_PER_SLOT per value of the
-    interval; sorted pairs cost _PAIRS_PER_SORT_STEP*pairs*log2(pairs); a
-    real-FFT convolution costs _PAIRS_PER_FFT_STEP*nfft*log2(nfft).  The
-    cheapest branch runs, the sorted one only without ``out``, and an FFT
-    result that does not round to exact integers falls back to the cheaper
-    of the other two.  This is the package's only cost model: before
-    allocating anything, each branch raises ResourceBudgetError if its cost
-    exceeds the pair budget or its memory (the result, plus the FFT's
-    workspace or the direct branch's, see _direct_bytes and _sorted_bytes)
-    exceeds the memory budget.
+    interval; sorted pairs cost _PAIRS_PER_SORT_STEP*pairs*log2(pairs); an
+    FFT convolution costs _PAIRS_PER_FFT_STEP*_grid_steps(*shape), on the
+    _grid_shape of the interval.  The cheapest branch runs, the sorted one
+    only without ``out``, and an FFT result that does not round to exact
+    integers falls back to the cheaper of the other two.  This is the
+    package's only cost model: before allocating anything, each branch
+    raises ResourceBudgetError if its cost exceeds the pair budget or its
+    memory (the result, plus the FFT's workspace or the direct branch's,
+    see _direct_bytes and _sorted_bytes) exceeds the memory budget.
     """
     width = hi - lo + 1
     pairs = left.size * right.size
-    nfft = _fft_length(width)
-    fft_cost = _PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)
+    shape = _grid_shape(width)
+    fft_cost = _PAIRS_PER_FFT_STEP * _grid_steps(*shape)
     direct_cost = pairs + _PAIRS_PER_SLOT[count] * width
     sorted_cost = math.inf if out is not None else _PAIRS_PER_SORT_STEP * pairs * math.log2(max(pairs, 2))
     if pairs and fft_cost < min(direct_cost, sorted_cost):
-        fft_bytes = width * (8 if count else 1) + _FFT_BYTES_PER_SLOT * nfft
-        _check_budget(fft_cost, fft_bytes, f"an FFT of length {nfft}")
+        fft_bytes = ((8 if count else 1) + _FFT_BYTES_PER_SLOT) * shape[0] * shape[1]
+        _check_budget(fft_cost, fft_bytes, f"an FFT on a {shape[0]} x {shape[1]} grid")
         found = _fft_pair_sums(left, right, lo, hi, count, out, spectrum)
         if found is not None:
             return found
@@ -542,15 +564,18 @@ def _direct_pair_sums(
 class _PairSums:
     """A _pair_sums result over [lo, ...): for each value, how many pairs
     make it (counts) or whether one does (marks).  Dense: ``cells`` spans
-    the interval and ``offsets`` is None.  Sorted: ``offsets`` holds the
-    made values' offsets from lo, ascending and read-only, and ``cells``
-    their counts, or None for marks.  Only these methods read ``offsets``;
-    in either layout cells[index(v)] is the count of a value v some pair makes.
+    the interval.  Sorted: ``offsets`` holds the made values' offsets from
+    lo, ascending and read-only, and ``cells`` their counts, or None for
+    marks.  Grid: ``grid`` is (rows, start) and ``cells`` a flat grid of
+    rows rows whose cyclic sequence holds the value lo + i at offset
+    start + i (see _crt).  Only these methods read ``offsets`` and ``grid``;
+    in every layout cells[index(v)] is the count of a value v some pair makes.
     """
 
     lo: int
     cells: np.ndarray | None
     offsets: np.ndarray | None = None
+    grid: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.offsets is not None:
@@ -562,17 +587,30 @@ class _PairSums:
 
     def support(self) -> np.ndarray:
         """The values some pair makes, ascending."""
-        values = np.flatnonzero(self.cells) if self.offsets is None else self.offsets.copy()
+        if self.grid is not None:
+            blocks = _natural(self.cells, *self.grid, self.cells.size)
+            values = np.concatenate([np.flatnonzero(part) + i for i, part in blocks])
+        else:
+            values = np.flatnonzero(self.cells) if self.offsets is None else self.offsets.copy()
         values += self.lo
         return values
 
-    def multiplicities(self) -> np.ndarray:
-        """The counts of support(), in its order."""
-        return self.cells[self.cells > 0] if self.offsets is None else self.cells
+    def multiplicities(self, ordered: bool = True) -> np.ndarray:
+        """The counts of support(), in its order, or in no set order if not
+        ``ordered``, which spares the grid layout its gather."""
+        if self.offsets is not None:
+            return self.cells
+        if self.grid is not None and ordered:
+            blocks = _natural(self.cells, *self.grid, self.cells.size)
+            return np.concatenate([part[part > 0] for _, part in blocks])
+        return self.cells[self.cells > 0]
 
     def index(self, values):
         """Where in ``cells`` the counts of ``values``, each made by some pair, are."""
         offsets = values - self.lo
+        if self.grid is not None:
+            rows, start = self.grid
+            return _crt((offsets + start) % self.cells.size, rows, self.cells.size // rows)
         return offsets if self.offsets is None else np.searchsorted(self.offsets, offsets)
 
     def count(self, value: int) -> int:
@@ -612,10 +650,55 @@ def _sorted_pair_sums(left: np.ndarray, right: np.ndarray, lo: int, count: bool)
     return _PairSums(lo, runs, offsets)
 
 
-def _fft_length(width: int) -> int:
-    """The least 2^k or 3*2^k that is at least ``width``."""
-    n = 1 << (width - 1).bit_length()
-    return 3 * n // 4 if 3 * n // 4 >= width else n
+@lru_cache(maxsize=256)
+def _grid_shape(width: int) -> tuple[int, int]:
+    """The grid (rows, cols) of least _grid_steps on which _fft_pair_sums
+    convolves ``width`` values: rows an odd 3,5-smooth number, cols the least
+    power of 2 with rows*cols >= width."""
+    shapes = []
+    threes = 1
+    while threes <= width:
+        rows = threes
+        while rows <= width:
+            shapes.append((rows, 1 << (-(-width // rows) - 1).bit_length()))
+            rows *= 5
+        threes *= 3
+    return min(shapes, key=lambda shape: _grid_steps(*shape))
+
+
+def _grid_steps(rows: int, cols: int) -> float:
+    """The modelled steps of a transform on a rows x cols grid of n cells:
+    n*log2(n), plus n*_LONG_AXIS_STEPS for each doubling of an axis past
+    _SHORT_AXIS."""
+    n = rows * cols
+    long = sum(max(0.0, math.log2(axis / _SHORT_AXIS)) for axis in (rows, cols))
+    return n * (math.log2(n) + _LONG_AXIS_STEPS * long) if n > 1 else 1.0
+
+
+def _crt(offsets: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Where in a flat rows x cols grid, cols a power of 2 and rows odd, the
+    entries at ``offsets`` (in [0, rows*cols)) of a cyclic sequence sit: j at
+    (j mod rows, j mod cols), Good's prime-factor map."""
+    cells = offsets % rows
+    cells *= cols
+    cells += offsets & (cols - 1)
+    return cells
+
+
+def _natural(grid: np.ndarray, rows: int, start: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The entries of the flat grid at offsets start, ..., start + n - 1 (mod
+    its size) of its cyclic sequence, a block at a time: (i, the entries
+    from the i-th on).  This is the one gather of a grid into value order."""
+    for i in range(0, n, _GATHER_BLOCK):
+        offsets = np.arange(start + i, start + min(n, i + _GATHER_BLOCK)) % grid.size
+        yield i, grid[_crt(offsets, rows, grid.size // rows)]
+
+
+def _spectrum(grid: np.ndarray) -> np.ndarray:
+    """The 2-D DFT of a real grid, for columns [0, cols//2] only: an rfft
+    along the rows, then an fft along the columns in place."""
+    x = np.fft.rfft(grid, axis=1)
+    return np.fft.fft(x, axis=0, out=x)
 
 
 def _fft_pair_sums(
@@ -626,44 +709,52 @@ def _fft_pair_sums(
     every convolution value lies within 1/4 of an integer, so that rounding
     it is exact.
 
-    ``spectrum(nfft)`` returns the pair sums' product spectrum, a float64
-    work buffer of length nfft, and the index of lo in their cyclic
+    The cyclic convolution is taken on the _grid_shape grid, where the
+    prime-factor map makes it a 2-D cyclic convolution with no twiddle
+    factors.  ``spectrum(shape)`` returns the pair sums' product spectrum,
+    a float64 work grid of that shape, and the offset of lo in their cyclic
     convolution; by default they come from the indicators of left and right.
+    Without ``out`` the result keeps the grid layout; with it, the grid is
+    gathered into value order once and added in.
     """
     width = hi - lo + 1
-    nfft = _fft_length(width)
-    product, work, start = (spectrum or partial(_indicator_product, left, right, lo))(nfft)
-    raw = np.fft.irfft(product, nfft, out=work)
-    exact = np.rint(raw, out=product.view(np.float64)[:nfft])  # the product is spent
+    shape = _grid_shape(width)
+    product, work, start = (spectrum or partial(_indicator_product, left, right, lo))(shape)
+    np.fft.ifft(product, axis=0, out=product)
+    raw = np.fft.irfft(product, shape[1], axis=1, out=work)
+    spent = product.view(np.float64).ravel()[: raw.size].reshape(shape)  # the product is spent
+    exact = np.rint(raw, out=spent)
     raw -= exact
     if np.abs(raw, out=raw).max() >= 0.25:
         return None
+    start %= exact.size
     if out is None:
-        out = np.zeros(width, dtype=np.int64 if count else bool)
-    # value lo + i is entry (start + i) mod nfft: width <= nfft, so no two collide
-    start %= nfft
-    head = min(width, nfft - start)
-    accumulate = np.add if count else np.logical_or  # exact holds integers >= 0
-    for part, values in ((out[:head], exact[start : start + head]), (out[head:], exact[: width - head])):
+        cells = np.empty(exact.size, dtype=np.int64 if count else bool)
+        np.copyto(cells, exact.ravel(), casting="unsafe")  # exact holds integers >= 0
+        return _PairSums(lo, cells, grid=(shape[0], start))
+    accumulate = np.add if count else np.logical_or
+    for i, values in _natural(exact.ravel(), shape[0], start, width):
+        part = out[i : i + values.size]
         accumulate(part, values, out=part, casting="unsafe")
     return _PairSums(lo, out)
 
 
 def _indicator_product(
-    left: np.ndarray, right: np.ndarray, lo: int, nfft: int
+    left: np.ndarray, right: np.ndarray, lo: int, shape: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The product of the spectra of left's and right's indicators, the
-    float64 buffer that held them, and lo's index (0) in their convolution."""
+    float64 grid that held them, and lo's offset (0) in their convolution."""
     # Index left from its minimum m and right from lo - m: both fit in
-    # [0, width) and the index of each sum is its offset from lo, so the
-    # cyclic convolution of length nfft >= width does not wrap.
+    # [0, width) and the offset of each sum is its offset from lo, so the
+    # cyclic convolution over the grid's size >= width does not wrap.
     shift = int(left.min())
-    x = np.zeros(nfft)
-    x[left - shift] = 1.0
-    product = np.fft.rfft(x)
-    x[left - shift] = 0.0
-    x[right - (lo - shift)] = 1.0
-    product *= np.fft.rfft(x)
+    cells = _crt(left - shift, *shape)
+    x = np.zeros(shape)
+    x.ravel()[cells] = 1.0
+    product = _spectrum(x)
+    x.ravel()[cells] = 0.0
+    x.ravel()[_crt(right - (lo - shift), *shape)] = 1.0
+    product *= _spectrum(x)
     return product, x, 0
 
 
@@ -692,7 +783,7 @@ def multiplicity_profile(hist: RepHistogram) -> dict[int, int]:
     profile.  This is the one pass over a histogram's counts: every
     collision statistic is a sum over the profile.
     """
-    sizes, times = np.unique(hist._sums.multiplicities(), return_counts=True)
+    sizes, times = np.unique(hist._sums.multiplicities(ordered=False), return_counts=True)
     if hist.kind == "diff" and (zero := hist.count(0)):
         times[np.searchsorted(sizes, zero)] -= 1
     return {i: t for i, t in zip(sizes.tolist(), times.tolist()) if t}

@@ -167,6 +167,17 @@ def test_form_beyond_int64_is_usage_error():
     )
 
 
+def test_sweep_form_beyond_int64_is_usage_error():
+    # refused with the N list, before any worker starts, as sample refuses it
+    proc = run_module(
+        "sweep", "--n", "10", "--p", "0.5", "--form", f"{2**70 + 1},-1", "--trials", "1", "--threads", "1"
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"sumdiff: error: the image of [0, 10] under the form ({2**70 + 1}, -1) does not fit int64\n"
+    )
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "sample", "--n", "100")[0] == 1  # family missing
     assert run_cli(capsys, "sample", "--n", "100", "--p", "0.5", "--c", "1", "--delta", "0.3")[0] == 1

@@ -390,6 +390,11 @@ def test_histograms_match_counters(a):
 def dense(result, lo, hi, count):
     """A _pair_sums result over [lo, ...) as the array over [lo, hi] of the dense layout."""
     assert result.lo == lo
+    if result.grid is not None:
+        # every cell of the grid not at a value of [lo, hi] is empty
+        values = result.cells[result.index(np.arange(lo, hi + 1))]
+        assert np.count_nonzero(values) == np.count_nonzero(result.cells)
+        return values
     if result.offsets is None:
         return result.cells
     assert np.all(np.diff(result.offsets) > 0) and (result.cells is not None) == count
@@ -429,6 +434,40 @@ def test_pair_sum_branches_match_oracles(xs, offset, coeffs):
         assert (np.flatnonzero(support) + lo).tolist() == sorted(expected_counts)
         assert result.size() == len(expected_counts)
         assert result.support().tolist() == sorted(expected_counts)
+
+
+# Widths whose grids have one row, a few rows, one column, or many of both
+GRID_WIDTHS = {61: (1, 64), 41: (3, 16), 73: (5, 16), 45: (45, 1), 97: (25, 4), 109: (15, 8)}
+
+
+def test_grid_widths_pick_their_shapes():
+    assert {w: sets._grid_shape(w) for w in GRID_WIDTHS} == GRID_WIDTHS
+
+
+@given(st.data(), st.sampled_from(sorted(GRID_WIDTHS)), st.integers(-50, 50), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_grid_kernel_matches_direct_pairs(data, width, lo, count):
+    # Left in [0, width//2] and right in the rest, both shifted so that the
+    # sums fill [lo, lo + width - 1]: the FFT branch on its grid equals
+    # direct pairs, alone and added into a random ``out``.
+    half = width // 2
+    left = np.array(sorted(data.draw(st.sets(st.integers(0, half), min_size=1))), dtype=np.int64)
+    right = np.array(sorted(data.draw(st.sets(st.integers(0, width - 1 - half)))), dtype=np.int64)
+    shift = data.draw(st.integers(-20, 20))
+    left, right, hi = left + shift, right + lo - shift, lo + width - 1
+    expected = sets._direct_pair_sums(left, right, lo, hi, count)
+    found = sets._fft_pair_sums(left, right, lo, hi, count)
+    assert found.grid is not None and found.cells.size == np.prod(GRID_WIDTHS[width])
+    assert np.array_equal(dense(found, lo, hi, count), expected.cells)
+    assert found.size() == expected.size()
+    assert np.array_equal(found.support(), expected.support())
+    assert np.array_equal(found.multiplicities(), expected.multiplicities())
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    start = rng.integers(0, 4, width) if count else rng.random(width) < 0.3
+    into_fft, into_direct = start.copy(), start.copy()
+    assert sets._fft_pair_sums(left, right, lo, hi, count, into_fft).cells is into_fft
+    sets._direct_pair_sums(left, right, lo, hi, count, into_direct)
+    assert np.array_equal(into_fft, into_direct)
 
 
 def test_fft_guard_falls_back_to_pairs(monkeypatch):
@@ -471,8 +510,10 @@ def test_fft_fallback_is_priced(monkeypatch):
 def test_memory_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(sets, "PAIR_MEMORY_BUDGET", 2**20)
     full = make_set(range(200_001), 0, 200_001)
-    # the FFT branch: an 8-byte count per value plus 41 bytes per FFT slot
-    with pytest.raises(ResourceBudgetError, match="FFT of length 524288 needs 24 MiB"):
+    # the FFT branch: an 8-byte count plus 25 bytes of workspace per cell
+    # of the 405 x 1024 grid that covers the 400003 differences
+    assert sets._grid_shape(400_003) == (405, 1024)
+    with pytest.raises(ResourceBudgetError, match="FFT on a 405 x 1024 grid needs 13 MiB"):
         rep_histogram(full, "diff")
     # the direct branch: one mark per value of a 2e6-wide interval and a
     # block of 10^6 int64 sums
@@ -560,6 +601,32 @@ def test_histogram_arrays_are_read_only(sort_step):
     assert dict(hist.nonzero_items()) == dict(sum_rep_counts([0, 1, 5]))
 
 
+@given(st.lists(st.integers(0, 40), max_size=25), st.integers(-30, 30))
+@settings(max_examples=40, deadline=None)
+def test_grid_layout_reads_as_dense_and_sorted(xs, offset):
+    # The FFT (grid), direct (dense) and sorted branches forced in turn give
+    # the same support, counts in support order, count(v) at every value of
+    # the domain and next to it, profile, and equal histograms.
+    elems = sorted(set(x + offset for x in xs))
+    a = make_set(elems, offset, offset + 40)
+    for kind, form in (("sum", None), ("diff", None), ("form", LinearForm((3, -2)))):
+        hists = []
+        for fft_step, sort_step in ((1e-9, 1e9), (1e9, 1e9), (1e9, 1e-9)):
+            with mock.patch.multiple(sets, _PAIRS_PER_FFT_STEP=fft_step, _PAIRS_PER_SORT_STEP=sort_step):
+                hists.append(rep_histogram(a, kind, form))
+        grid = hists[0]
+        assert (grid._sums.grid is not None) == bool(elems)
+        values = range(grid.domain_lo - 2, grid.domain_hi + 3)
+        for other in hists[1:]:
+            assert grid == other and hash(grid) == hash(other)
+            assert np.array_equal(grid._sums.support(), other._sums.support())
+            assert np.array_equal(grid._sums.multiplicities(), other._sums.multiplicities())
+            assert [grid.count(v) for v in values] == [other.count(v) for v in values]
+            assert list(grid.nonzero_items()) == list(other.nonzero_items())
+            assert multiplicity_profile(grid) == multiplicity_profile(other)
+            assert (grid.total(), grid.support_size()) == (other.total(), other.support_size())
+
+
 def test_histograms_compare_by_value():
     # Kind, domain, form and counts decide, whichever layout holds the
     # counts, and equal histograms hash equal.
@@ -584,8 +651,10 @@ def test_histograms_compare_by_value():
 
 
 def test_memory_budget_refuses_largest_priced_fft():
-    # the widest FFT within the pair budget (nfft = 3*2^27, cost 9.2e9)
-    # would need ~19.7 GB; it is refused without allocating
+    # the differences of 10^5 members of [0, 2e8]: an FFT on a 98415 x 4096
+    # grid (cost 7.6e9, within the pair budget) would need ~13.3 GB; it is
+    # refused without allocating
+    assert sets._grid_shape(4 * 10**8 + 1) == (98415, 4096)
     a = IntegerSet.from_members(np.arange(0, 2 * 10**8, 2000), 0, 2 * 10**8)
     refuses_within_16_mib(lambda: rep_histogram(a, "diff"))
     # 2e4 members over [0, 3e9]: direct marks over the 6e9-wide interval
@@ -649,20 +718,27 @@ def check_shared_spectrum(a, elems, requests, sort):
     assert dict(rep_histogram(a, "form", form).nonzero_items()) == form_rep_counts(elems, 3, -2)
 
 
-@pytest.mark.parametrize("nfft", [1, 2, 3, 8, 12, 45, 1024, 3 * 2**9])
+@pytest.mark.parametrize("nfft", [1, 2, 3, 8, 12, 45, 360, 1024, 3 * 2**9])
 @pytest.mark.parametrize("c", [1, -1, 2, -3, 5])
 def test_dilated_spectrum_matches_rfft(nfft, c):
-    # X(c*k mod nfft), read off the half spectrum X, is the rfft of the
-    # indicator dilated by c modulo nfft
+    # On the grid of nfft cells (its odd part by its power of 2), X(c*k),
+    # read off the half spectrum X, is the grid transform of the indicator
+    # dilated by c modulo nfft; the product reads X(-k) too, so it is
+    # checked against the transforms of both dilations.
+    rows = nfft // (nfft & -nfft)
+    shape = (rows, nfft // rows)
     members = np.flatnonzero(np.random.default_rng(nfft).random(nfft) < 0.4)
-    x = np.zeros(nfft)
-    x[members] = 1.0
-    dilated = np.zeros(nfft)
-    np.add.at(dilated, c * members % nfft, 1.0)
-    spectrum = np.fft.rfft(x)
+
+    def grid_spectrum(offsets):
+        grid = np.zeros(nfft)
+        np.add.at(grid, sets._crt(offsets % nfft, *shape), 1.0)
+        return sets._spectrum(grid.reshape(shape))
+
+    spectrum = grid_spectrum(members)
     out = np.empty_like(spectrum)
-    sets._dilated_product(spectrum, (c,), nfft, out)
-    assert np.allclose(out, np.fft.rfft(dilated), atol=1e-9)
+    sets._dilated_product(spectrum, (c, -1), shape[1], out)
+    expected = grid_spectrum(c * members) * grid_spectrum(-members)
+    assert np.allclose(out, expected, atol=1e-9)
 
 
 def test_no_result_is_held_while_the_next_request_runs(monkeypatch):
@@ -689,7 +765,7 @@ def test_no_result_is_held_while_the_next_request_runs(monkeypatch):
 def test_dense_images_stay_within_three_slots():
     # The sizes and the (2,-1) form of a run_trial at N = 2e5, delta = 0.3:
     # each call peaks at A's spectrum, the product spectrum and the work
-    # buffer (3 float64 slots per FFT slot), plus the result, the two
+    # grid (3 float64 slots per grid cell), plus the result, the two
     # dilated member arrays and 64 KiB for ufunc buffers and small objects
     n = 2 * 10**5
     a = sample(n, n**-0.3, SamplerSeed(11, 0))
@@ -701,14 +777,16 @@ def test_dense_images_stay_within_three_slots():
     assert sets._FFT_BYTES_PER_SLOT >= 3 * 8
     tracemalloc.start()
     try:
-        for size in sizes:
+        for coeffs, size in zip(images, sizes):
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             marks = next(results).cells
             peak = tracemalloc.get_traced_memory()[1] - base
-            nfft = sets._fft_length(marks.size)
-            assert a.count**2 > sets._PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)  # the FFT ran
-            assert peak <= 3 * 8 * nfft + marks.nbytes + 2 * 8 * a.count + 2**16
+            lo, hi = sets._image_interval(a.lo, a.hi, coeffs)
+            shape = sets._grid_shape(hi - lo + 1)
+            assert marks.size == shape[0] * shape[1]
+            assert a.count**2 > sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*shape)  # the FFT ran
+            assert peak <= 3 * 8 * marks.size + marks.nbytes + 2 * 8 * a.count + 2**16
             assert np.count_nonzero(marks) == size
             del marks
     finally:
@@ -724,9 +802,8 @@ def test_direct_pairs_stay_within_their_price(monkeypatch, count):
     monkeypatch.setattr(sets, "_CHUNK_ENTRIES", 10**5)
     members = np.arange(0, 10**6 + 1, 1000)
     lo, hi = -(10**6), 10**6
-    nfft = sets._fft_length(hi - lo + 1)
     pairs = members.size**2
-    assert pairs < sets._PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)  # direct, not the FFT
+    assert pairs < sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*sets._grid_shape(hi - lo + 1))  # not the FFT
     direct_cost = pairs + sets._PAIRS_PER_SLOT[count] * (hi - lo + 1)
     assert direct_cost < sets._PAIRS_PER_SORT_STEP * pairs * math.log2(pairs)  # nor sorted pairs
     priced = sets._direct_bytes(members.size, members.size, hi - lo + 1, count)
@@ -752,10 +829,10 @@ def test_sorted_pairs_stay_within_their_price(count):
     # per distinct sum) plus 64 KiB for small objects
     members = np.sort(np.random.default_rng(7).choice(10**9 + 1, 600, replace=False))
     lo, hi = -(10**9), 10**9
-    pairs, nfft = members.size**2, sets._fft_length(hi - lo + 1)
+    pairs = members.size**2
     sorted_cost = sets._PAIRS_PER_SORT_STEP * pairs * math.log2(pairs)
     assert sorted_cost < pairs + sets._PAIRS_PER_SLOT[count] * (hi - lo + 1)
-    assert sorted_cost < sets._PAIRS_PER_FFT_STEP * nfft * math.log2(nfft)
+    assert sorted_cost < sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*sets._grid_shape(hi - lo + 1))
     priced = sets._sorted_bytes(pairs, hi - lo + 1, count)
     tracemalloc.start()
     try:
@@ -853,6 +930,29 @@ def test_trial_shares_spectrum_per_fft_length(monkeypatch, forms, max_k, forward
     spec = StatisticsSpec(max_k=max_k, forms=tuple(map(LinearForm, forms)))
     run_trial(ExperimentConfig((n,), PFamily.power_law(1.0, 0.3), 1, 11, spec), n, 0)
     assert calls == {"rfft": forward, "irfft": inverse}
+
+
+@pytest.mark.parametrize("spec", [
+    StatisticsSpec(forms=(LinearForm((2, -1)),)),
+    StatisticsSpec(max_k=2, y=True, forms=(LinearForm((2, -1)),)),
+], ids=["sizes-form", "sizes-form-xk2-y"])
+def test_dense_trial_never_gathers_its_grids(monkeypatch, spec):
+    # Sizes count a grid's cells, histograms are made unordered through
+    # index() and profiled unordered: no result of a dense trial is
+    # gathered into value order
+    gathers = []
+    real = sets._natural
+
+    def spy(*args):
+        gathers.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(sets, "_natural", spy)
+    taken = spy_on_branches(monkeypatch)
+    n = 2 * 10**5
+    record = run_trial(ExperimentConfig((n,), PFamily.power_law(1.0, 0.3), 1, 11, spec), n, 0)
+    assert taken == ["fft"] * 3 and gathers == []
+    assert record.sumset_size > 0 and record.form_sizes[LinearForm((2, -1))] > 0
 
 
 @given(
