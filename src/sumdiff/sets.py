@@ -566,8 +566,8 @@ class _PairSums:
     make it (counts) or whether one does (marks).  Dense: ``cells`` spans
     the interval.  Sorted: ``offsets`` holds the made values' offsets from
     lo, ascending and read-only, and ``cells`` their counts, or None for
-    marks.  Grid: ``grid`` is (rows, start) and ``cells`` a flat grid of
-    rows rows whose cyclic sequence holds the value lo + i at offset
+    marks.  Grid: ``grid`` is (rows, start) and ``cells`` a flat grid with
+    that many rows, whose cyclic sequence holds the value lo + i at offset
     start + i (see _crt).  Only these methods read ``offsets`` and ``grid``;
     in every layout cells[index(v)] is the count of a value v some pair makes.
     """
