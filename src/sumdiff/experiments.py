@@ -26,7 +26,7 @@ from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle, expected_tuple_count
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
-from .sets import KIND_FORMS, LinearForm, _grown_images, _histogram, _self_pair_sums
+from .sets import KIND_FORMS, LinearForm, _grown_sizes, _histogram, _self_pair_sums
 from .sets import _boolean, _check_int64, _integer, _real, _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
@@ -575,6 +575,8 @@ def empirical_crossover(
     if report.case != "case-ii":
         raise ValueError(f"({f}, {g}) is {report.case}; crossover needs a case-ii pair")
     n, trials = _integer(n, "n", least=1), _integer(trials, "trials", least=1)
+    for form in (f, g):
+        _check_int64(form.coeffs, 0, n)  # before a word is drawn or a worker starts
     seed = SamplerSeed(seed).seed
     sqrt_n = math.sqrt(n)  # so that p = c / sqrt(N) lands in (0, 1)
     grid = [_real(c, "c", hi=sqrt_n) for c in c_grid]
@@ -604,11 +606,11 @@ def _crossover_trial(
 
     The sets grow with p, so each form's image grows with them: at each p
     only the pairs with a newly sampled element are added.  The forms are
-    grown one after the other, so one form's marks are held at a time.
+    grown one after the other, a residue class at a time, so one class's
+    marks are held at a time.
     """
     members, ends = _nested_draw(n, ps, SamplerSeed(seed, trial_index))
-    sizes = [[np.count_nonzero(marks) for marks in _grown_images(members, ends, form.coeffs, n)]
-             for form in forms]
+    sizes = [_grown_sizes(members, ends, form.coeffs, n) for form in forms]
     return [f > g for f, g in zip(*sizes)]
 
 

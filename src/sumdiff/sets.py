@@ -29,9 +29,9 @@ are the inverse transform of X(u*k) * X(v*k), and the spectrum of A
 dilated by c is X(c*k), read off X by strided slices along both axes.  So
 the sum set, the difference set and the (2,-1) image of one large set take
 5 transforms, not 9, in one call whose ordered requests the sharing
-follows.  A k-ary image starts so too; only its later folds and grown
-images convolve two indicator vectors, with the same inverse transform
-and exactness check.
+follows.  A k-ary image starts so too; only its later folds and the
+crossover's grown class images convolve two indicator vectors, with the
+same inverse transform and exactness check.
 
 All operations are pure: values never mutate after construction.
 """
@@ -451,25 +451,40 @@ def _dilation(
     return view[: shape[0], : shape[1]], (c < 0) != (step < 0)
 
 
-def _grown_images(
+def _grown_sizes(
     members: np.ndarray, ends: Sequence[int], coeffs: tuple[int, int], n: int
-) -> Iterator[np.ndarray]:
-    """For each of the ascending ``ends``, the marks of the binary image of
-    members[:end] (distinct elements of [0, n]) over the image interval of [0, n].
+) -> list[int]:
+    """For each of the ascending ``ends``, the size of the image under the
+    binary form ``coeffs`` of members[:end] (distinct elements of [0, n]).
 
-    One marks array is grown in place and yielded after each end: only the
-    pairs with a new element are summed, u*new with v*members[:end] and
-    u*old with v*new.
+    Write y = r + u*t with r = y mod u.  Then u*x + v*y = v*r + u*(x + v*t),
+    and as gcd(u, v) = 1 each class r of y lands in its own class mod u, so
+    the image's size is the sum over r of |A + v*T_r|, T_r = {t : r + u*t in
+    A}.  Each class's marks span n + |v|*((n - r) // u) + 1 values, u times
+    fewer than the image's, and are grown in place over all ends before the
+    next class's, in one buffer: only the pairs with a new element are
+    summed, new x with v*T_r so far and old x with v*(new t).
     """
     _check_int64(coeffs, 0, n)
     u, v = coeffs
-    lo, hi = _image_interval(0, n, coeffs)
-    marks = np.zeros(hi - lo + 1, dtype=bool)
-    for start, end in zip([0, *ends], ends):
-        old, new = members[:start], members[start:end]
-        _pair_sums(u * new, v * members[:end], lo, hi, count=False, out=marks)
-        _pair_sums(u * old, v * new, lo, hi, count=False, out=marks)
-        yield marks
+    members = members[: ends[-1]]
+    sizes = [0] * len(ends)
+    # Class 0 is the widest.  Zeroed pages are touched only once used, so a
+    # class too wide for the memory budget is refused before it costs any.
+    buffer = np.zeros(n + abs(v) * (n // u) + 1, dtype=bool)
+    for r in range(min(u, n + 1)):  # a class r > n holds no y in [0, n]
+        at = np.flatnonzero(members % u == r)
+        vt = v * ((members[at] - r) // u)
+        t_ends = np.searchsorted(at, ends).tolist()  # class members in each prefix
+        reach = v * ((n - r) // u)
+        lo, hi = min(0, reach), n + max(0, reach)
+        marks = buffer[: hi - lo + 1]
+        for i, (start, end, t_start, t_end) in enumerate(zip([0, *ends], ends, [0, *t_ends], t_ends)):
+            _pair_sums(members[start:end], vt[:t_end], lo, hi, count=False, out=marks)
+            _pair_sums(members[:start], vt[t_start:t_end], lo, hi, count=False, out=marks)
+            sizes[i] += int(np.count_nonzero(marks))
+        marks.fill(False)
+    return sizes
 
 
 def _pair_sums(

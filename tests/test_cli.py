@@ -178,6 +178,23 @@ def test_sweep_form_beyond_int64_is_usage_error():
     )
 
 
+def test_crossover_form_beyond_int64_is_usage_error(capsys, monkeypatch):
+    # drew about 2e18 sampler words before the kernel refused the image
+    from sumdiff import experiments
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nothing may be sampled or started before the check")
+
+    monkeypatch.setattr(experiments, "_run_tasks", forbidden)
+    monkeypatch.setattr(experiments, "_nested_draw", forbidden)
+    n = 2 * 10**18
+    argv = ("crossover", "--form", "4,-3", "--form", "5,-1", "--n", str(n), "--c-grid", "0.5,1",
+            "--trials", "1", "--threads", "1")
+    assert run_cli(capsys, *argv) == (
+        1, "", f"sumdiff: error: the image of [0, {n}] under the form (4, -3) does not fit int64\n"
+    )
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "sample", "--n", "100")[0] == 1  # family missing
     assert run_cli(capsys, "sample", "--n", "100", "--p", "0.5", "--c", "1", "--delta", "0.3")[0] == 1

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sumdiff import (
@@ -104,7 +104,7 @@ def test_make_set_rejects_elements_beyond_int64(elements):
     [
         lambda: form_image(make_set([0, 1, 2, 3], 0, 3), LinearForm((2**63 - 1, -1))),
         lambda: sumset(make_set([0, 2**62], 0, 2**62)),
-        lambda: next(sets._grown_images(np.array([0, 1]), [2], (3, -1), 2**61)),
+        lambda: sets._grown_sizes(np.array([0, 1]), [2], (3, -1), 2**61),
     ],
     ids=["form-coefficient", "sumset", "grown-image"],
 )
@@ -884,16 +884,37 @@ def test_workload_trials_take_their_branches(monkeypatch, workload):
 
 
 def test_crossover_grid_trials_take_direct_pairs(monkeypatch):
-    # The crossover-grid workload's trial grows dense marks: direct pairs
-    # into ``out`` at every stage, however cheap sorting would be
+    # The crossover-grid workload's trial grows dense marks one class of y
+    # mod u at a time: two direct pair sums into ``out`` per class and grid
+    # point, however cheap sorting would be, each over the class's
+    # n + |v|*(n // u) + 1 values, not the image's (u + |v|)*n + 1.  The
+    # trial's traced peak stays below one byte per value of (4,-3)'s image.
     from sumdiff import experiments
 
     grid = (0.67, 0.77, 0.86, 0.96, 1.05, 1.15, 1.24)
     n = 10**6
     taken = spy_on_branches(monkeypatch)
+    widths = []
+    real = sets._pair_sums
+
+    def spy(left, right, lo, hi, *args, **kwargs):
+        widths.append(hi - lo + 1)
+        return real(left, right, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(sets, "_pair_sums", spy)
     forms = (LinearForm((4, -3)), LinearForm((5, -1)))
-    experiments._crossover_trial(forms, n, tuple(c / math.sqrt(n) for c in grid), 0, 0)
-    assert taken == ["direct"] * 2 * len(grid) * 2
+    tracemalloc.start()
+    try:
+        experiments._crossover_trial(forms, n, tuple(c / math.sqrt(n) for c in grid), 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * n
+    calls = [2 * len(grid) * form.u for form in forms]
+    assert taken == ["direct"] * sum(calls) == ["direct"] * 126
+    bounds = [n + abs(form.v) * (n // form.u) + 1 for form in forms]
+    assert bounds == [1_750_001, 1_200_001]
+    assert max(widths[: calls[0]]) <= bounds[0] and max(widths[calls[0] :]) <= bounds[1]
 
 
 @pytest.mark.parametrize(
@@ -955,28 +976,39 @@ def test_dense_trial_never_gathers_its_grids(monkeypatch, spec):
     assert record.sumset_size > 0 and record.form_sizes[LinearForm((2, -1))] > 0
 
 
+@st.composite
+def staged_sets(draw):
+    """N and the elements of [0, N], each with the stage at which it joins
+    the nested sets A_0 <= A_1 <= A_2 <= A_3; stage 4 is past the last."""
+    n = draw(st.integers(0, 60))
+    elements = st.tuples(st.integers(0, n), st.integers(0, 4))
+    return n, draw(st.lists(elements, max_size=40, unique_by=lambda t: t[0]))
+
+
 @given(
-    st.lists(st.tuples(st.integers(0, 60), st.integers(0, 3)), max_size=40, unique_by=lambda t: t[0]),
-    st.sampled_from([(1, -1), (2, -1), (3, -2), (5, -1), (4, -3), (1, 1), (3, 1)]),
+    staged_sets(),
+    st.sampled_from([(1, -1), (2, -1), (2, 1), (3, -2), (3, 1), (5, -1), (4, -3), (1, 1), (7, -5)]),
     st.sampled_from([1e-9, 1e9]),
 )
-@settings(max_examples=80, deadline=None)
-def test_grown_image_matches_fresh_image(staged, coeffs, pairs_per_fft_step):
-    # Element x joins the nested sets A_0 <= A_1 <= A_2 <= A_3 at its stage;
-    # 1e-9 forces the FFT branch, 1e9 direct pairs.  The grown marks stay
-    # dense: the sorted branch is never taken into ``out``, however cheap.
+@example((3, [(0, 0), (2, 2), (3, 4)]), (7, -5), 1e9)  # N < u: classes 4-6 hold no y
+@example((9, [(1, 1), (5, 1), (7, 3)]), (4, -3), 1e-9)  # stages 0 and 2 and classes 0 and 2 empty
+@example((0, []), (2, 1), 1e9)
+@settings(max_examples=120, deadline=None)
+def test_grown_image_matches_fresh_image(staged_set, coeffs, pairs_per_fft_step):
+    # The size grown at each end, summed over the classes of y mod u, is the
+    # size of the fresh image of its prefix; members of stage 4 lie past the
+    # last end and are ignored.  1e-9 forces the FFT branch, 1e9 direct
+    # pairs.  The class marks stay dense: the sorted branch is never taken
+    # into ``out``, however cheap.
+    n, staged = staged_set
     members = np.array([x for x, _ in sorted(staged, key=lambda t: t[1])], dtype=np.int64)
     ends = [sum(s <= stage for _, s in staged) for stage in range(4)]
-    lo, hi = sets._image_interval(0, 60, coeffs)
     steps = {"_PAIRS_PER_FFT_STEP": pairs_per_fft_step, "_PAIRS_PER_SORT_STEP": 1e-9}
     with mock.patch.multiple(sets, **steps):
-        grown = sets._grown_images(members, ends, coeffs, 60)
-        for stage, marks in zip(range(4), grown, strict=True):
-            prefix = make_set([x for x, s in staged if s <= stage], 0, 60)
-            fresh = form_image(prefix, LinearForm(coeffs))
-            assert marks.size == hi - lo + 1
-            assert np.count_nonzero(marks) == fresh.count
-            assert (np.flatnonzero(marks) + lo).tolist() == fresh.members().tolist()
+        sizes = sets._grown_sizes(members, ends, coeffs, n)
+    fresh = [form_image(make_set([x for x, s in staged if s <= stage], 0, n), LinearForm(coeffs)).count
+             for stage in range(4)]
+    assert sizes == fresh
 
 
 # --- tuple statistics and profiles
