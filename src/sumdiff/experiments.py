@@ -26,7 +26,7 @@ from .errors import ExperimentAborted, ResourceBudgetError
 from .predictions import PredictionBundle, asymptotic_bundle, expected_tuple_count
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
-from .sets import KIND_FORMS, LinearForm, _grown_sizes, _histogram, _self_pair_sums
+from .sets import KIND_FORMS, LinearForm, _class_marks, _grown_sizes, _histogram, _self_pair_sums
 from .sets import _boolean, _check_int64, _integer, _real, _tuple_count, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
@@ -576,7 +576,7 @@ def empirical_crossover(
         raise ValueError(f"({f}, {g}) is {report.case}; crossover needs a case-ii pair")
     n, trials = _integer(n, "n", least=1), _integer(trials, "trials", least=1)
     for form in (f, g):
-        _check_int64(form.coeffs, 0, n)  # before a word is drawn or a worker starts
+        _class_marks(form.coeffs, n)  # refused before a word is drawn or a worker starts
     seed = SamplerSeed(seed).seed
     sqrt_n = math.sqrt(n)  # so that p = c / sqrt(N) lands in (0, 1)
     grid = [_real(c, "c", hi=sqrt_n) for c in c_grid]

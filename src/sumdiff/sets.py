@@ -29,9 +29,9 @@ are the inverse transform of X(u*k) * X(v*k), and the spectrum of A
 dilated by c is X(c*k), read off X by strided slices along both axes.  So
 the sum set, the difference set and the (2,-1) image of one large set take
 5 transforms, not 9, in one call whose ordered requests the sharing
-follows.  A k-ary image starts so too; only its later folds and the
-crossover's grown class images convolve two indicator vectors, with the
-same inverse transform and exactness check.
+follows.  A k-ary image starts so too; only its later folds convolve two
+indicator vectors, with the same inverse transform and exactness check.
+The crossover grows its images as direct pairs into class marks.
 
 All operations are pure: values never mutate after construction.
 """
@@ -395,7 +395,7 @@ def _self_pair_sums(
         # The dilated indicators convolve u*a1 + v*a2 to the index
         # u*(a1 - a.lo) + v*(a2 - a.lo) mod the grid's size, so lo - (u+v)*a.lo holds lo.
         spectrum = partial(product, (u, v), lo - (u + v) * a.lo, keep)
-        sums = _pair_sums(u * members, v * members, lo, hi, count, None, spectrum)
+        sums = _pair_sums(u * members, v * members, lo, hi, count, spectrum)
         for j in range(2, len(coeffs)):
             lo, hi = _image_interval(a.lo, a.hi, coeffs[: j + 1])
             sums = _pair_sums(sums.support(), coeffs[j] * members, lo, hi, False)
@@ -451,9 +451,20 @@ def _dilation(
     return view[: shape[0], : shape[1]], (c < 0) != (step < 0)
 
 
-def _grown_sizes(
-    members: np.ndarray, ends: Sequence[int], coeffs: tuple[int, int], n: int
-) -> list[int]:
+def _class_marks(coeffs: tuple[int, int], n: int, r: int = 0) -> tuple[int, int]:
+    """The values x + v*t, x in [0, n] and r + u*t in [0, n], over which
+    _grown_sizes marks class r of y mod u, class 0's the widest.  A
+    ValueError unless the images of [0, n] fit int64, then a
+    ResourceBudgetError if the marks alone, with no pair, exceed a budget."""
+    _check_int64(coeffs, 0, n)
+    u, v = coeffs
+    reach = v * ((n - r) // u)
+    lo, hi = min(0, reach), n + max(0, reach)
+    _check_budget(*_direct_price(0, 0, hi - lo + 1, False), f"a class of {coeffs}'s marks at N = {n}")
+    return lo, hi
+
+
+def _grown_sizes(members: np.ndarray, ends: Sequence[int], coeffs: tuple[int, int], n: int) -> list[int]:
     """For each of the ascending ``ends``, the size of the image under the
     binary form ``coeffs`` of members[:end] (distinct elements of [0, n]).
 
@@ -462,34 +473,30 @@ def _grown_sizes(
     the image's size is the sum over r of |A + v*T_r|, T_r = {t : r + u*t in
     A}.  Each class's marks span n + |v|*((n - r) // u) + 1 values, u times
     fewer than the image's, and are grown in place over all ends before the
-    next class's, in one buffer: only the pairs with a new element are
-    summed, new x with v*T_r so far and old x with v*(new t).
+    next class's, in one buffer: only the pairs with a new element are added
+    in, as direct pairs, new x with v*T_r so far and old x with v*(new t).
     """
-    _check_int64(coeffs, 0, n)
+    lo, hi = _class_marks(coeffs, n)
+    buffer = np.zeros(hi - lo + 1, dtype=bool)
     u, v = coeffs
     members = members[: ends[-1]]
     sizes = [0] * len(ends)
-    # Class 0 is the widest.  Zeroed pages are touched only once used, so a
-    # class too wide for the memory budget is refused before it costs any.
-    buffer = np.zeros(n + abs(v) * (n // u) + 1, dtype=bool)
     for r in range(min(u, n + 1)):  # a class r > n holds no y in [0, n]
         at = np.flatnonzero(members % u == r)
         vt = v * ((members[at] - r) // u)
         t_ends = np.searchsorted(at, ends).tolist()  # class members in each prefix
-        reach = v * ((n - r) // u)
-        lo, hi = min(0, reach), n + max(0, reach)
+        lo, hi = _class_marks(coeffs, n, r)
         marks = buffer[: hi - lo + 1]
         for i, (start, end, t_start, t_end) in enumerate(zip([0, *ends], ends, [0, *t_ends], t_ends)):
-            _pair_sums(members[start:end], vt[:t_end], lo, hi, count=False, out=marks)
-            _pair_sums(members[:start], vt[t_start:t_end], lo, hi, count=False, out=marks)
+            _direct_pair_sums(members[start:end], vt[:t_end], lo, hi, False, out=marks)
+            _direct_pair_sums(members[:start], vt[t_start:t_end], lo, hi, False, out=marks)
             sizes[i] += int(np.count_nonzero(marks))
         marks.fill(False)
     return sizes
 
 
 def _pair_sums(
-    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
-    out: np.ndarray | None = None, spectrum: Callable | None = None,
+    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool, spectrum: Callable | None = None
 ) -> _PairSums:
     """Pair sums left[i] + right[j] over the values [lo, hi].
 
@@ -497,41 +504,36 @@ def _pair_sums(
     whether one does (bool) when ``count`` is false, as a _PairSums: dense
     from the direct branch, on a grid from the FFT branch and sorted from
     the sorted one.  ``left`` and ``right`` each hold distinct values, and
-    every sum must lie in [lo, hi].  Given ``out`` (of that width and
-    dtype), the result is added into it and the result holds ``out``:
-    counts accumulate, marks are OR-ed in.  Given ``spectrum``, the FFT
-    branch takes its product spectrum from it (see _fft_pair_sums).
+    every sum must lie in [lo, hi].  Given ``spectrum``, the FFT branch
+    takes its product spectrum from it (see _fft_pair_sums).
 
-    Direct pairs cost |left|*|right| plus _PAIRS_PER_SLOT per value of the
-    interval; sorted pairs cost _PAIRS_PER_SORT_STEP*pairs*log2(pairs); an
-    FFT convolution costs _PAIRS_PER_FFT_STEP*_grid_steps(*shape), on the
-    _grid_shape of the interval.  The cheapest branch runs, the sorted one
-    only without ``out``, and an FFT result that does not round to exact
-    integers falls back to the cheaper of the other two.  This is the
-    package's only cost model: before allocating anything, each branch
-    raises ResourceBudgetError if its cost exceeds the pair budget or its
-    memory (the result, plus the FFT's workspace or the direct branch's,
-    see _direct_bytes and _sorted_bytes) exceeds the memory budget.
+    Direct pairs are priced by _direct_price; sorted pairs cost
+    _PAIRS_PER_SORT_STEP*pairs*log2(pairs); an FFT convolution costs
+    _PAIRS_PER_FFT_STEP*_grid_steps(*shape), on the _grid_shape of the
+    interval.  The cheapest branch runs, and an FFT result that does not
+    round to exact integers falls back to the cheaper of the other two.
+    This is the package's only cost model: before allocating anything, each
+    branch raises ResourceBudgetError if its cost exceeds the pair budget or
+    its memory (the result, plus the FFT's workspace or the direct branch's,
+    see _direct_price and _sorted_bytes) exceeds the memory budget.
     """
     width = hi - lo + 1
     pairs = left.size * right.size
     shape = _grid_shape(width)
     fft_cost = _PAIRS_PER_FFT_STEP * _grid_steps(*shape)
-    direct_cost = pairs + _PAIRS_PER_SLOT[count] * width
-    sorted_cost = math.inf if out is not None else _PAIRS_PER_SORT_STEP * pairs * math.log2(max(pairs, 2))
+    direct_cost = _direct_price(left.size, right.size, width, count)[0]
+    sorted_cost = _PAIRS_PER_SORT_STEP * pairs * math.log2(max(pairs, 2))
     if pairs and fft_cost < min(direct_cost, sorted_cost):
         fft_bytes = ((8 if count else 1) + _FFT_BYTES_PER_SLOT) * shape[0] * shape[1]
         _check_budget(fft_cost, fft_bytes, f"an FFT on a {shape[0]} x {shape[1]} grid")
-        found = _fft_pair_sums(left, right, lo, hi, count, out, spectrum)
+        found = _fft_pair_sums(left, right, lo, hi, count, spectrum)
         if found is not None:
             return found
     if sorted_cost < direct_cost:
         sorted_bytes = _sorted_bytes(pairs, width, count)
         _check_budget(sorted_cost, sorted_bytes, f"{left.size} x {right.size} sorted pairs")
         return _sorted_pair_sums(left, right, lo, count)
-    direct_bytes = _direct_bytes(left.size, right.size, width, count)
-    _check_budget(direct_cost, direct_bytes, f"{left.size} x {right.size} direct pairs")
-    return _direct_pair_sums(left, right, lo, hi, count, out)
+    return _direct_pair_sums(left, right, lo, hi, count)
 
 
 def _check_budget(cost: float, nbytes: int, what: str) -> None:
@@ -549,17 +551,25 @@ def _block_rows(right: int) -> int:
     return max(1, _CHUNK_ENTRIES // max(right, 1))
 
 
-def _direct_bytes(left: int, right: int, width: int, count: bool) -> int:
-    """Peak memory of _direct_pair_sums: the result, left shifted to lo, and
-    the buffer of one block of int64 pair sums."""
-    return width * (8 if count else 1) + 8 * (left + min(left, _block_rows(right)) * right)
+def _direct_price(left: int, right: int, width: int, count: bool) -> tuple[float, int]:
+    """The cost and peak memory of _direct_pair_sums of ``left`` x ``right``
+    pairs over ``width`` values: the pairs plus _PAIRS_PER_SLOT per value;
+    the result (or ``out``), left shifted to lo, and the buffer of one block
+    of int64 pair sums."""
+    cost = left * right + _PAIRS_PER_SLOT[count] * width
+    return cost, width * (8 if count else 1) + 8 * (left + min(left, _block_rows(right)) * right)
 
 
 def _direct_pair_sums(
-    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
-    out: np.ndarray | None = None,
+    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool, out: np.ndarray | None = None
 ) -> _PairSums:
+    """The direct branch of _pair_sums, dense, refused before it allocates
+    if _direct_price exceeds a budget.  Given ``out`` (of the interval's
+    width and dtype), the pair sums are added into it, counts accumulated
+    and marks OR-ed in."""
     width = hi - lo + 1
+    price = _direct_price(left.size, right.size, width, count)
+    _check_budget(*price, f"{left.size} x {right.size} direct pairs")
     if out is None:
         out = np.zeros(width, dtype=np.int64 if count else bool)
     shifted = left - lo
@@ -717,23 +727,19 @@ def _spectrum(grid: np.ndarray) -> np.ndarray:
 
 
 def _fft_pair_sums(
-    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
-    out: np.ndarray | None = None, spectrum: Callable | None = None,
+    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool, spectrum: Callable | None = None
 ) -> _PairSums | None:
-    """The FFT branch of _pair_sums (left must not be empty); None unless
-    every convolution value lies within 1/4 of an integer, so that rounding
-    it is exact.
+    """The FFT branch of _pair_sums (left must not be empty), in the grid
+    layout; None unless every convolution value lies within 1/4 of an
+    integer, so that rounding it is exact.
 
     The cyclic convolution is taken on the _grid_shape grid, where the
     prime-factor map makes it a 2-D cyclic convolution with no twiddle
     factors.  ``spectrum(shape)`` returns the pair sums' product spectrum,
     a float64 work grid of that shape, and the offset of lo in their cyclic
     convolution; by default they come from the indicators of left and right.
-    Without ``out`` the result keeps the grid layout; with it, the grid is
-    gathered into value order once and added in.
     """
-    width = hi - lo + 1
-    shape = _grid_shape(width)
+    shape = _grid_shape(hi - lo + 1)
     product, work, start = (spectrum or partial(_indicator_product, left, right, lo))(shape)
     np.fft.ifft(product, axis=0, out=product)
     raw = np.fft.irfft(product, shape[1], axis=1, out=work)
@@ -742,16 +748,9 @@ def _fft_pair_sums(
     raw -= exact
     if np.abs(raw, out=raw).max() >= 0.25:
         return None
-    start %= exact.size
-    if out is None:
-        cells = np.empty(exact.size, dtype=np.int64 if count else bool)
-        np.copyto(cells, exact.ravel(), casting="unsafe")  # exact holds integers >= 0
-        return _PairSums(lo, cells, grid=(shape[0], start))
-    accumulate = np.add if count else np.logical_or
-    for i, values in _natural(exact.ravel(), shape[0], start, width):
-        part = out[i : i + values.size]
-        accumulate(part, values, out=part, casting="unsafe")
-    return _PairSums(lo, out)
+    cells = np.empty(exact.size, dtype=np.int64 if count else bool)
+    np.copyto(cells, exact.ravel(), casting="unsafe")  # exact holds integers >= 0
+    return _PairSums(lo, cells, grid=(shape[0], start % exact.size))
 
 
 def _indicator_product(

@@ -195,6 +195,23 @@ def test_crossover_form_beyond_int64_is_usage_error(capsys, monkeypatch):
     )
 
 
+def test_crossover_over_memory_budget_is_runtime_error(capsys, monkeypatch):
+    # a class of (4,-3)'s marks over the memory budget was refused inside
+    # the first trial, after its draw, as "trial failed after 0 of 1 records"
+    from sumdiff import experiments, sets
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nothing may be sampled or started before the check")
+
+    monkeypatch.setattr(sets, "PAIR_MEMORY_BUDGET", 10**6)
+    monkeypatch.setattr(experiments, "_nested_draw", forbidden)
+    argv = ("crossover", "--form", "4,-3", "--form", "5,-1", "--n", str(10**7), "--c-grid", "0.8,1",
+            "--trials", "1", "--threads", "1")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "trial failed" not in err
+    assert err.startswith("sumdiff: error: a class of (4, -3)'s marks at N = 10000000 needs 17 MiB > memory budget")
+
+
 def test_usage_errors(capsys):
     assert run_cli(capsys, "sample", "--n", "100")[0] == 1  # family missing
     assert run_cli(capsys, "sample", "--n", "100", "--p", "0.5", "--c", "1", "--delta", "0.3")[0] == 1

@@ -775,6 +775,22 @@ def test_crossover_failure_names_the_trial(monkeypatch, threads):
     assert "seed=7 N=2000 trial_index=4: synthetic crossover failure" in str(info.value)
 
 
+def test_crossover_over_memory_budget_is_refused_before_drawing(monkeypatch):
+    # (4,-3)'s widest class of marks at N = 10^7 takes 10^7 + 3*(10^7 // 4)
+    # + 1 bytes, 17 MiB: over a 1 MB budget, the crossover is refused before
+    # its first trial draws 10^7 words, not inside that trial
+    from sumdiff import sets
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("nothing may be sampled or started before the check")
+
+    monkeypatch.setattr(sets, "PAIR_MEMORY_BUDGET", 10**6)
+    monkeypatch.setattr(experiments, "_nested_draw", forbidden)
+    monkeypatch.setattr(experiments, "_run_tasks", forbidden)
+    with pytest.raises(ResourceBudgetError, match=r"^a class of \(4, -3\)'s marks at N = 10000000 needs 17 MiB"):
+        empirical_crossover(*CROSSOVER_FORMS, 10**7, [0.8, 1.0], 1, seed=0, threads=1)
+
+
 def test_crossover_matches_fresh_images():
     # every grid point's sets and images built from scratch, as a brute-force check
     n, grid, trials, seed = 3000, [0.3, 1.0, 3.0, 8.0], 6, 5

@@ -449,7 +449,8 @@ def test_grid_widths_pick_their_shapes():
 def test_grid_kernel_matches_direct_pairs(data, width, lo, count):
     # Left in [0, width//2] and right in the rest, both shifted so that the
     # sums fill [lo, lo + width - 1]: the FFT branch on its grid equals
-    # direct pairs, alone and added into a random ``out``.
+    # direct pairs, and direct pairs added into a random ``out`` equal the
+    # fresh result added to it.
     half = width // 2
     left = np.array(sorted(data.draw(st.sets(st.integers(0, half), min_size=1))), dtype=np.int64)
     right = np.array(sorted(data.draw(st.sets(st.integers(0, width - 1 - half)))), dtype=np.int64)
@@ -464,10 +465,9 @@ def test_grid_kernel_matches_direct_pairs(data, width, lo, count):
     assert np.array_equal(found.multiplicities(), expected.multiplicities())
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     start = rng.integers(0, 4, width) if count else rng.random(width) < 0.3
-    into_fft, into_direct = start.copy(), start.copy()
-    assert sets._fft_pair_sums(left, right, lo, hi, count, into_fft).cells is into_fft
-    sets._direct_pair_sums(left, right, lo, hi, count, into_direct)
-    assert np.array_equal(into_fft, into_direct)
+    into = start.copy()
+    assert sets._direct_pair_sums(left, right, lo, hi, count, into).cells is into
+    assert np.array_equal(into, start + expected.cells if count else start | expected.cells)
 
 
 def test_fft_guard_falls_back_to_pairs(monkeypatch):
@@ -804,9 +804,8 @@ def test_direct_pairs_stay_within_their_price(monkeypatch, count):
     lo, hi = -(10**6), 10**6
     pairs = members.size**2
     assert pairs < sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*sets._grid_shape(hi - lo + 1))  # not the FFT
-    direct_cost = pairs + sets._PAIRS_PER_SLOT[count] * (hi - lo + 1)
+    direct_cost, priced = sets._direct_price(members.size, members.size, hi - lo + 1, count)
     assert direct_cost < sets._PAIRS_PER_SORT_STEP * pairs * math.log2(pairs)  # nor sorted pairs
-    priced = sets._direct_bytes(members.size, members.size, hi - lo + 1, count)
     tracemalloc.start()
     try:
         result = sets._pair_sums(members, -members, lo, hi, count)
@@ -886,22 +885,26 @@ def test_workload_trials_take_their_branches(monkeypatch, workload):
 def test_crossover_grid_trials_take_direct_pairs(monkeypatch):
     # The crossover-grid workload's trial grows dense marks one class of y
     # mod u at a time: two direct pair sums into ``out`` per class and grid
-    # point, however cheap sorting would be, each over the class's
+    # point, never through _pair_sums, each over the class's
     # n + |v|*(n // u) + 1 values, not the image's (u + |v|)*n + 1.  The
     # trial's traced peak stays below one byte per value of (4,-3)'s image.
     from sumdiff import experiments
 
     grid = (0.67, 0.77, 0.86, 0.96, 1.05, 1.15, 1.24)
     n = 10**6
-    taken = spy_on_branches(monkeypatch)
     widths = []
-    real = sets._pair_sums
+    real = sets._direct_pair_sums
 
-    def spy(left, right, lo, hi, *args, **kwargs):
+    def spy(left, right, lo, hi, count, out=None):
+        assert out is not None and out.size == hi - lo + 1 and not count
         widths.append(hi - lo + 1)
-        return real(left, right, lo, hi, *args, **kwargs)
+        return real(left, right, lo, hi, count, out)
 
-    monkeypatch.setattr(sets, "_pair_sums", spy)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the crossover grows its marks by direct pairs alone")
+
+    monkeypatch.setattr(sets, "_direct_pair_sums", spy)
+    monkeypatch.setattr(sets, "_pair_sums", forbidden)
     forms = (LinearForm((4, -3)), LinearForm((5, -1)))
     tracemalloc.start()
     try:
@@ -911,7 +914,7 @@ def test_crossover_grid_trials_take_direct_pairs(monkeypatch):
         tracemalloc.stop()
     assert peak < 7 * n
     calls = [2 * len(grid) * form.u for form in forms]
-    assert taken == ["direct"] * sum(calls) == ["direct"] * 126
+    assert len(widths) == sum(calls) == 126
     bounds = [n + abs(form.v) * (n // form.u) + 1 for form in forms]
     assert bounds == [1_750_001, 1_200_001]
     assert max(widths[: calls[0]]) <= bounds[0] and max(widths[calls[0] :]) <= bounds[1]
@@ -988,24 +991,19 @@ def staged_sets(draw):
 @given(
     staged_sets(),
     st.sampled_from([(1, -1), (2, -1), (2, 1), (3, -2), (3, 1), (5, -1), (4, -3), (1, 1), (7, -5)]),
-    st.sampled_from([1e-9, 1e9]),
 )
-@example((3, [(0, 0), (2, 2), (3, 4)]), (7, -5), 1e9)  # N < u: classes 4-6 hold no y
-@example((9, [(1, 1), (5, 1), (7, 3)]), (4, -3), 1e-9)  # stages 0 and 2 and classes 0 and 2 empty
-@example((0, []), (2, 1), 1e9)
+@example((3, [(0, 0), (2, 2), (3, 4)]), (7, -5))  # N < u: classes 4-6 hold no y
+@example((9, [(1, 1), (5, 1), (7, 3)]), (4, -3))  # stages 0 and 2 and classes 0 and 2 empty
+@example((0, []), (2, 1))
 @settings(max_examples=120, deadline=None)
-def test_grown_image_matches_fresh_image(staged_set, coeffs, pairs_per_fft_step):
+def test_grown_image_matches_fresh_image(staged_set, coeffs):
     # The size grown at each end, summed over the classes of y mod u, is the
     # size of the fresh image of its prefix; members of stage 4 lie past the
-    # last end and are ignored.  1e-9 forces the FFT branch, 1e9 direct
-    # pairs.  The class marks stay dense: the sorted branch is never taken
-    # into ``out``, however cheap.
+    # last end and are ignored.
     n, staged = staged_set
     members = np.array([x for x, _ in sorted(staged, key=lambda t: t[1])], dtype=np.int64)
     ends = [sum(s <= stage for _, s in staged) for stage in range(4)]
-    steps = {"_PAIRS_PER_FFT_STEP": pairs_per_fft_step, "_PAIRS_PER_SORT_STEP": 1e-9}
-    with mock.patch.multiple(sets, **steps):
-        sizes = sets._grown_sizes(members, ends, coeffs, n)
+    sizes = sets._grown_sizes(members, ends, coeffs, n)
     fresh = [form_image(make_set([x for x, s in staged if s <= stage], 0, n), LinearForm(coeffs)).count
              for stage in range(4)]
     assert sizes == fresh
