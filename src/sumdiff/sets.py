@@ -19,9 +19,13 @@ The FFT convolves on a rows x cols grid, rows odd and 3,5-smooth and cols
 a power of 2, that covers the image interval: by Good's and Thomas's
 prime-factor map, offset j sits at (j mod rows, j mod cols), and a cyclic
 convolution of length rows*cols is a 2-D one with no twiddle factors,
-whose short axes transform within cache.  Its result stays on the grid:
-sizes, counts at a value and histogram profiles read it there, and only
-the ordered support and counts gather it into value order.
+whose short axes transform within cache.  An indicator is built and
+transformed along its rows a block of rows at a time, straight into its
+half spectrum, and the inverse transform is rounded, checked and cast a
+block of rows at a time too, so a call holds two half spectra and its
+result, never a float64 grid.  Its result stays on the grid: sizes,
+counts at a value and histogram profiles read it there, and only the
+ordered support and counts gather it into value order.
 
 The images and histograms of one set share its spectrum X, the grid DFT
 of A's indicator, taken once per grid shape: the pair sums under (u, v)
@@ -55,19 +59,23 @@ PAIR_BUDGET = 10**10
 # bytes: a quarter of an 8 GB host.
 PAIR_MEMORY_BUDGET = 2**31
 
-# Peak FFT workspace per cell of its grid, on top of the result.  24 bytes
-# of numpy arrays, seen by tracemalloc: a float64 grid and two half
-# spectra, on both paths.  1 byte of pocketfft scratch, which tracemalloc
-# misses: transforms along the short axes need only a lane's buffer, and
-# RSS rose 0.5 bytes per cell past the arrays on a first call (grids of
-# 2025 x 1024 and 3125 x 1024), rounded up.  See CHANGES.md.
-_FFT_BYTES_PER_SLOT = 24 + 1
+# Peak FFT workspace per cell of its grid, on top of the result and one
+# float64 block of rows (see _fft_bytes).  16 bytes of numpy arrays, seen by
+# tracemalloc: two half spectra, A's and the product, on both paths; traced
+# calls at N = 2e5 and 10^6 peaked 14.3-16.3 bytes per cell past their
+# result and block.  1 byte of pocketfft scratch, which tracemalloc misses:
+# transforms along the short axes need only a lane's buffer, and a first
+# (2,-1) call at N = 10^6 (3125 x 1024) raised RSS by 16.4 bytes per cell
+# with its 1-byte result.  See CHANGES.md.
+_FFT_BYTES_PER_SLOT = 16 + 1
 
 # Direct pairs are summed one block of rows at a time, each block of about
 # 10^7 sums, into one reused buffer.
 _CHUNK_ENTRIES = 10**7
 
-# A grid is gathered into value order this many entries at a time.
+# A grid is built, finished and gathered into value order about this many
+# cells at a time: 64 rows of a 1024-column grid, whose float64 blocks stay
+# within L2.
 _GATHER_BLOCK = 2**16
 
 # The cost of one FFT step (see _grid_steps) in units of one direct pair,
@@ -366,11 +374,11 @@ def _self_pair_sums(
     request runs.
 
     Every request starts from the pair sums of its first two coefficients,
-    which share A's spectrum X at each grid shape and reuse its arrays: X, a
-    product spectrum and a float64 work grid.  A k-ary request then folds
-    in cj*A for each later cj.  X is kept after a product only if this
-    request is binary and the next has the same shape, so that neither a
-    last inverse transform nor a fold runs beside it.
+    which share A's spectrum X at each grid shape and reuse its arrays, X
+    and a product spectrum.  A k-ary request then folds in cj*A for each
+    later cj.  X is kept after a product only if this request is binary and
+    the next has the same shape, so that neither a last inverse transform
+    nor a fold runs beside it.
     """
     for coeffs, _ in requests:
         _check_int64(coeffs, a.lo, a.hi)
@@ -378,17 +386,15 @@ def _self_pair_sums(
     firsts = [_image_interval(a.lo, a.hi, coeffs[:2]) for coeffs, _ in requests]
     shapes = [_grid_shape(hi - lo + 1) for lo, hi in firsts]
     keeps = [len(c) == 2 and s == after for (c, _), s, after in zip(requests, shapes, shapes[1:] + [None])]
-    held: dict = {}  # shape: (X, product, work) while the next request has this shape
+    held: dict = {}  # shape: (X, product) while the next request has this shape
 
     def product(coeffs, start, keep, shape):
         if shape not in held:
-            work = np.zeros(shape)
-            work.ravel()[_crt(members - a.lo, *shape)] = 1.0
-            x = _spectrum(work)
-            held[shape] = x, np.empty_like(x), work
-        x, out, work = held[shape] if keep else held.pop(shape)
+            x = _spectrum(members - a.lo, shape)
+            held[shape] = x, np.empty_like(x)
+        x, out = held[shape] if keep else held.pop(shape)
         _dilated_product(x, coeffs, shape[1], out)
-        return out, work, start
+        return out, start
 
     for (coeffs, count), (lo, hi), keep in zip(requests, firsts, keeps):
         u, v = coeffs[:2]
@@ -524,8 +530,7 @@ def _pair_sums(
     direct_cost = _direct_price(left.size, right.size, width, count)[0]
     sorted_cost = _PAIRS_PER_SORT_STEP * pairs * math.log2(max(pairs, 2))
     if pairs and fft_cost < min(direct_cost, sorted_cost):
-        fft_bytes = ((8 if count else 1) + _FFT_BYTES_PER_SLOT) * shape[0] * shape[1]
-        _check_budget(fft_cost, fft_bytes, f"an FFT on a {shape[0]} x {shape[1]} grid")
+        _check_budget(fft_cost, _fft_bytes(shape, count), f"an FFT on a {shape[0]} x {shape[1]} grid")
         found = _fft_pair_sums(left, right, lo, hi, count, spectrum)
         if found is not None:
             return found
@@ -534,6 +539,14 @@ def _pair_sums(
         _check_budget(sorted_cost, sorted_bytes, f"{left.size} x {right.size} sorted pairs")
         return _sorted_pair_sums(left, right, lo, count)
     return _direct_pair_sums(left, right, lo, hi, count)
+
+
+def _fft_bytes(shape: tuple[int, int], count: bool) -> int:
+    """Peak memory of _fft_pair_sums on a grid of ``shape``: the result and
+    _FFT_BYTES_PER_SLOT per cell, and one float64 block of rows (see
+    _grid_block) for the indicator, then for the inverse transform."""
+    rows, cols = shape
+    return ((8 if count else 1) + _FFT_BYTES_PER_SLOT) * rows * cols + 8 * _grid_block(shape) * cols
 
 
 def _check_budget(cost: float, nbytes: int, what: str) -> None:
@@ -719,10 +732,32 @@ def _natural(grid: np.ndarray, rows: int, start: int, n: int) -> Iterator[tuple[
         yield i, grid[_crt(offsets, rows, grid.size // rows)]
 
 
-def _spectrum(grid: np.ndarray) -> np.ndarray:
-    """The 2-D DFT of a real grid, for columns [0, cols//2] only: an rfft
-    along the rows, then an fft along the columns in place."""
-    x = np.fft.rfft(grid, axis=1)
+def _grid_block(shape: tuple[int, int]) -> int:
+    """Rows per block of a streamed pass over a grid of ``shape``: about
+    _GATHER_BLOCK cells, at least one row and at most the grid's rows."""
+    rows, cols = shape
+    return min(rows, max(1, _GATHER_BLOCK // cols))
+
+
+def _spectrum(offsets: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The 2-D DFT, for columns [0, cols//2] only, of the indicator on the
+    grid of ``shape`` of the distinct ``offsets`` (in [0, rows*cols)) of its
+    cyclic sequence (see _crt).  The indicator is built a block of rows at a
+    time and rfft'd along its rows straight into the half spectrum, which is
+    then fft'd along its columns in place."""
+    rows, cols = shape
+    block = _grid_block(shape)
+    cells = _crt(offsets, rows, cols)
+    cells.sort()
+    bounds = np.searchsorted(cells, np.arange(0, rows + block, block) * cols).tolist()
+    x = np.empty((rows, cols // 2 + 1), dtype=np.complex128)
+    indicator = np.zeros((block, cols))
+    for r0, i0, i1 in zip(range(0, rows, block), bounds, bounds[1:]):
+        part = indicator[: rows - r0]
+        ones = cells[i0:i1] - r0 * cols
+        part.ravel()[ones] = 1.0
+        np.fft.rfft(part, axis=1, out=x[r0 : r0 + part.shape[0]])
+        part.ravel()[ones] = 0.0
     return np.fft.fft(x, axis=0, out=x)
 
 
@@ -735,41 +770,45 @@ def _fft_pair_sums(
 
     The cyclic convolution is taken on the _grid_shape grid, where the
     prime-factor map makes it a 2-D cyclic convolution with no twiddle
-    factors.  ``spectrum(shape)`` returns the pair sums' product spectrum,
-    a float64 work grid of that shape, and the offset of lo in their cyclic
-    convolution; by default they come from the indicators of left and right.
+    factors.  ``spectrum(shape)`` returns the pair sums' product spectrum
+    and the offset of lo in their cyclic convolution; by default they come
+    from the indicators of left and right.  After the inverse fft along the
+    columns, each block of rows (see _grid_block) takes its irfft into one
+    float64 block, is rounded into its own spent rows of the product,
+    checked, and cast into the result, so no array as large as the grid is
+    made beside the product and the result.
     """
-    shape = _grid_shape(hi - lo + 1)
-    product, work, start = (spectrum or partial(_indicator_product, left, right, lo))(shape)
+    shape = rows, cols = _grid_shape(hi - lo + 1)
+    product, start = (spectrum or partial(_indicator_product, left, right, lo))(shape)
     np.fft.ifft(product, axis=0, out=product)
-    raw = np.fft.irfft(product, shape[1], axis=1, out=work)
-    spent = product.view(np.float64).ravel()[: raw.size].reshape(shape)  # the product is spent
-    exact = np.rint(raw, out=spent)
-    raw -= exact
-    if np.abs(raw, out=raw).max() >= 0.25:
-        return None
-    cells = np.empty(exact.size, dtype=np.int64 if count else bool)
-    np.copyto(cells, exact.ravel(), casting="unsafe")  # exact holds integers >= 0
-    return _PairSums(lo, cells, grid=(shape[0], start % exact.size))
+    block = _grid_block(shape)
+    raw = np.empty((block, cols))
+    cells = np.empty(shape, dtype=np.int64 if count else bool)
+    for r0 in range(0, rows, block):
+        r1 = min(rows, r0 + block)
+        part = np.fft.irfft(product[r0:r1], cols, axis=1, out=raw[: r1 - r0])
+        # the block's rows of the product are spent; they hold its rounding
+        spent = product[r0:r1].view(np.float64).ravel()[: part.size].reshape(part.shape)
+        whole = np.rint(part, out=spent)
+        part -= whole
+        if np.abs(part, out=part).max() >= 0.25:
+            return None
+        np.copyto(cells[r0:r1], whole, casting="unsafe")  # whole holds integers >= 0
+    return _PairSums(lo, cells.ravel(), grid=(rows, start % cells.size))
 
 
 def _indicator_product(
     left: np.ndarray, right: np.ndarray, lo: int, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The product of the spectra of left's and right's indicators, the
-    float64 grid that held them, and lo's offset (0) in their convolution."""
+) -> tuple[np.ndarray, int]:
+    """The product of the spectra of left's and right's indicators, and lo's
+    offset (0) in their convolution."""
     # Index left from its minimum m and right from lo - m: both fit in
     # [0, width) and the offset of each sum is its offset from lo, so the
     # cyclic convolution over the grid's size >= width does not wrap.
     shift = int(left.min())
-    cells = _crt(left - shift, *shape)
-    x = np.zeros(shape)
-    x.ravel()[cells] = 1.0
-    product = _spectrum(x)
-    x.ravel()[cells] = 0.0
-    x.ravel()[_crt(right - (lo - shift), *shape)] = 1.0
-    product *= _spectrum(x)
-    return product, x, 0
+    product = _spectrum(left - shift, shape)
+    product *= _spectrum(right - (lo - shift), shape)
+    return product, 0
 
 
 def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> RepHistogram:

@@ -507,13 +507,43 @@ def test_fft_fallback_is_priced(monkeypatch):
         rep_histogram(make_set(range(200_001), 0, 200_001), "diff")
 
 
+@pytest.mark.parametrize("block", [0, -1], ids=["first-block", "last-partial-block"])
+def test_exactness_is_checked_in_every_block(monkeypatch, block):
+    # The differences of [0, 200000] run on a 405 x 1024 grid, finished in
+    # blocks of 64 rows, the last of 21: an inverse transform off by 0.3 in
+    # one block alone fails the check, and the fallback is priced (4e10
+    # direct pairs are refused)
+    shape = sets._grid_shape(400_003)
+    blocks = -(-shape[0] // sets._grid_block(shape))
+    assert shape == (405, 1024) and blocks == 7 and shape[0] % sets._grid_block(shape) == 21
+    calls = []
+    real_irfft = np.fft.irfft
+
+    def irfft(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        raw = real_irfft(*args, **kwargs)
+        return raw + 0.3 if len(calls) - 1 == block % blocks else raw
+
+    checked = [64] if block == 0 else [64] * 6 + [21]  # the rows of each block finished
+    members = np.arange(200_001)
+    assert sets._fft_pair_sums(members, -members, -200_000, 200_000, True) is not None
+    monkeypatch.setattr(np.fft, "irfft", irfft)
+    assert sets._fft_pair_sums(members, -members, -200_000, 200_000, True) is None
+    assert calls == checked
+    calls.clear()
+    with pytest.raises(ResourceBudgetError, match="direct pairs"):
+        rep_histogram(make_set(range(200_001), 0, 200_001), "diff")
+    assert calls == checked
+
+
 def test_memory_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(sets, "PAIR_MEMORY_BUDGET", 2**20)
     full = make_set(range(200_001), 0, 200_001)
-    # the FFT branch: an 8-byte count plus 25 bytes of workspace per cell
-    # of the 405 x 1024 grid that covers the 400003 differences
+    # the FFT branch: an 8-byte count plus 17 bytes of workspace per cell
+    # of the 405 x 1024 grid that covers the 400003 differences, and one
+    # float64 block of 64 rows
     assert sets._grid_shape(400_003) == (405, 1024)
-    with pytest.raises(ResourceBudgetError, match="FFT on a 405 x 1024 grid needs 13 MiB"):
+    with pytest.raises(ResourceBudgetError, match="FFT on a 405 x 1024 grid needs 10 MiB"):
         rep_histogram(full, "diff")
     # the direct branch: one mark per value of a 2e6-wide interval and a
     # block of 10^6 int64 sums
@@ -652,7 +682,7 @@ def test_histograms_compare_by_value():
 
 def test_memory_budget_refuses_largest_priced_fft():
     # the differences of 10^5 members of [0, 2e8]: an FFT on a 98415 x 4096
-    # grid (cost 7.6e9, within the pair budget) would need ~13.3 GB; it is
+    # grid (cost 7.6e9, within the pair budget) would need ~10.1 GB; it is
     # refused without allocating
     assert sets._grid_shape(4 * 10**8 + 1) == (98415, 4096)
     a = IntegerSet.from_members(np.arange(0, 2 * 10**8, 2000), 0, 2 * 10**8)
@@ -730,15 +760,37 @@ def test_dilated_spectrum_matches_rfft(nfft, c):
     members = np.flatnonzero(np.random.default_rng(nfft).random(nfft) < 0.4)
 
     def grid_spectrum(offsets):
+        # the dilated multisets collide, so the reference is built by numpy
         grid = np.zeros(nfft)
         np.add.at(grid, sets._crt(offsets % nfft, *shape), 1.0)
-        return sets._spectrum(grid.reshape(shape))
+        return np.fft.fft(np.fft.rfft(grid.reshape(shape), axis=1), axis=0)
 
     spectrum = grid_spectrum(members)
     out = np.empty_like(spectrum)
     sets._dilated_product(spectrum, (c, -1), shape[1], out)
     expected = grid_spectrum(c * members) * grid_spectrum(-members)
     assert np.allclose(out, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "shape, size",
+    [((5, 1024), 900), ((135, 1024), 40_000), ((3, 2**16), 5000), ((3, 2**17), 7000), ((45, 16), 0)],
+    ids=["one-partial-block", "blocks-and-a-partial", "one-row-blocks", "rows-wider-than-a-block",
+         "no-offsets"],
+)
+def test_spectrum_streams_rows_to_the_half_spectrum(shape, size):
+    # Built and rfft'd a block of rows at a time (64 rows of 1024 columns,
+    # one row of 2^16 or 2^17), the half spectrum equals numpy's transforms
+    # of the whole indicator grid
+    rows, cols = shape
+    assert sets._grid_block(shape) == min(rows, max(1, sets._GATHER_BLOCK // cols))
+    offsets = np.random.default_rng(size).permutation(rows * cols)[:size]
+    grid = np.zeros(rows * cols)
+    grid[sets._crt(offsets, rows, cols)] = 1.0
+    expected = np.fft.fft(np.fft.rfft(grid.reshape(shape), axis=1), axis=0)
+    found = sets._spectrum(offsets, shape)
+    assert found.shape == (rows, cols // 2 + 1) and found.dtype == np.complex128
+    assert np.allclose(found, expected, atol=1e-8)
 
 
 def test_no_result_is_held_while_the_next_request_runs(monkeypatch):
@@ -762,19 +814,22 @@ def test_no_result_is_held_while_the_next_request_runs(monkeypatch):
     assert not any(map(any, seen))
 
 
-def test_dense_images_stay_within_three_slots():
-    # The sizes and the (2,-1) form of a run_trial at N = 2e5, delta = 0.3:
-    # each call peaks at A's spectrum, the product spectrum and the work
-    # grid (3 float64 slots per grid cell), plus the result, the two
-    # dilated member arrays and 64 KiB for ufunc buffers and small objects
-    n = 2 * 10**5
+@pytest.mark.parametrize("n", [10**4, 2 * 10**5], ids=["N1e4", "N2e5"])
+def test_dense_images_stay_within_two_slots(n):
+    # The sizes and the (2,-1) form of a run_trial at delta = 0.3: each call
+    # peaks at A's spectrum and the product spectrum (2 float64 slots per
+    # grid cell), plus the result, one float64 block of rows (of at most the
+    # grid's rows) for the indicator and then the inverse transform, the two
+    # dilated member arrays and 64 KiB for ufunc buffers and small objects.
+    # At N = 10^4 a grid is smaller than one block of 2^16 cells, so its
+    # block must not be a full one.
     a = sample(n, n**-0.3, SamplerSeed(11, 0))
     images = [(1, 1), (1, -1), (2, -1)]
     # the first FFT imports numpy.fft; the sizes are checked against the
     # public kernels before the measured calls
     sizes = [sumset(a).count, diffset(a).count, form_image(a, LinearForm((2, -1))).count]
     results = sets._self_pair_sums(a, [(coeffs, False) for coeffs in images])
-    assert sets._FFT_BYTES_PER_SLOT >= 3 * 8
+    assert sets._FFT_BYTES_PER_SLOT >= 2 * 8
     tracemalloc.start()
     try:
         for coeffs, size in zip(images, sizes):
@@ -786,7 +841,8 @@ def test_dense_images_stay_within_three_slots():
             shape = sets._grid_shape(hi - lo + 1)
             assert marks.size == shape[0] * shape[1]
             assert a.count**2 > sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*shape)  # the FFT ran
-            assert peak <= 3 * 8 * marks.size + marks.nbytes + 2 * 8 * a.count + 2**16
+            buffers = 8 * min(shape[0], max(1, sets._GATHER_BLOCK // shape[1])) * shape[1]
+            assert peak <= 2 * 8 * marks.size + marks.nbytes + buffers + 2 * 8 * a.count + 2**16
             assert np.count_nonzero(marks) == size
             del marks
     finally:
@@ -943,17 +999,19 @@ def test_trial_shares_spectrum_per_fft_length(monkeypatch, forms, max_k, forward
     # costs nothing.  The (1,1,1) image starts from A+A at the sizes'
     # length, then folds in A by two indicator transforms; X is dropped
     # before the fold, so the sizes or histograms take it again.
+    # A whole forward transform is one _spectrum, a whole inverse one
+    # _fft_pair_sums, however many blocks of rows each streams.
     calls = {}
-    for name in ("rfft", "irfft"):
-        def counted(*args, real=getattr(np.fft, name), name=name, **kwargs):
+    for name in ("_spectrum", "_fft_pair_sums"):
+        def counted(*args, real=getattr(sets, name), name=name, **kwargs):
             calls[name] = calls.get(name, 0) + 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(sets, name, counted)
     n = 2 * 10**5
     spec = StatisticsSpec(max_k=max_k, forms=tuple(map(LinearForm, forms)))
     run_trial(ExperimentConfig((n,), PFamily.power_law(1.0, 0.3), 1, 11, spec), n, 0)
-    assert calls == {"rfft": forward, "irfft": inverse}
+    assert calls == {"_spectrum": forward, "_fft_pair_sums": inverse}
 
 
 @pytest.mark.parametrize("spec", [
