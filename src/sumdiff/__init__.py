@@ -1,5 +1,30 @@
 """Sumsets, difference sets and linear-form images of random integer sets."""
 
+
+def _import_numpy() -> None:
+    """Import numpy with its bundled OpenBLAS's idle spin cut short.
+
+    OpenBLAS starts a thread per extra core as numpy loads, and each idle
+    thread busy-waits 2^28 cycles before it sleeps: about 0.13 CPU-s per
+    extra core in every process, although sumdiff never calls BLAS.  OpenBLAS reads
+    OPENBLAS_THREAD_TIMEOUT only as it loads, so the variable is set for the
+    import alone and os.environ is left as the caller had it.  A caller's
+    own value, or a numpy that is already loaded, is left alone.
+    """
+    import os
+    import sys
+
+    if "numpy" in sys.modules or "OPENBLAS_THREAD_TIMEOUT" in os.environ:
+        return
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"  # 2^4 cycles, OpenBLAS's least
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
+
+_import_numpy()
+
 from .bounds import (
     AltBoundReport,
     BoundReport,

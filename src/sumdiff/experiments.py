@@ -12,7 +12,6 @@ import json
 import math
 import os
 import statistics as pystats
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -269,6 +268,9 @@ def _run_tasks(task: Callable[[Any], Any], tasks: Sequence[Any], threads: int | 
         if workers == 1:
             results.extend(map(task, tasks))
         else:
+            # imported here: a serial run never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             chunk = max(1, math.ceil(len(tasks) / (workers * 8)))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results.extend(pool.map(task, tasks, chunksize=chunk))
