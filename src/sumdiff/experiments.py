@@ -214,9 +214,12 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     # at each FFT length.  Each form is requested once: as counts if its
     # histogram is collected, its size then the histogram's support, else as
     # marks.  Marks come first, so no histogram is held during another FFT.
+    # A-A comes before A+A: the request that keeps A's spectrum for the next
+    # is then the differences, whose product is half a spectrum, and the
+    # sums form theirs inside A's (see sets._self_pair_sums).
     kinds = ["diff"] * (spec.max_k > 0 or spec.y) + ["sum"] * (spec.max_k > 0)
     counted = {KIND_FORMS[kind]: kind for kind in kinds}
-    sized = [KIND_FORMS[kind] for kind in ("sum", "diff")] if spec.sizes or spec.missing else []
+    sized = [KIND_FORMS[kind] for kind in ("diff", "sum")] if spec.sizes or spec.missing else []
     images = [f for f in dict.fromkeys(sized + list(spec.forms)) if f not in counted]
     requests = [(f.coeffs, False) for f in images] + [(f.coeffs, True) for f in counted]
     results = _self_pair_sums(a, requests)
@@ -227,7 +230,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
         sizes[f] = hist.support_size()
         profiles[kind] = multiplicity_profile(hist)
 
-    sum_size, diff_size = (sizes[f] for f in sized) if sized else (None, None)
+    diff_size, sum_size = (sizes[f] for f in sized) if sized else (None, None)
 
     xs = xps = ()
     y = None

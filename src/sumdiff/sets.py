@@ -22,10 +22,10 @@ convolution of length rows*cols is a 2-D one with no twiddle factors,
 whose short axes transform within cache.  An indicator is built and
 transformed along its rows a block of rows at a time, straight into its
 half spectrum, and the inverse transform is rounded, checked and cast a
-block of rows at a time too, so a call holds two half spectra and its
-result, never a float64 grid.  Its result stays on the grid: sizes,
+block of rows at a time too, so a call holds its result and at most two
+half spectra, never a float64 grid.  Its result stays on the grid: sizes,
 counts at a value and histogram profiles read it there, and only the
-ordered support and counts gather it into value order.
+ordered support and counts gather it into value order, by diagonal runs.
 
 The images and histograms of one set share its spectrum X, the grid DFT
 of A's indicator, taken once per grid shape: the pair sums under (u, v)
@@ -33,9 +33,15 @@ are the inverse transform of X(u*k) * X(v*k), and the spectrum of A
 dilated by c is X(c*k), read off X by strided slices along both axes.  So
 the sum set, the difference set and the (2,-1) image of one large set take
 5 transforms, not 9, in one call whose ordered requests the sharing
-follows.  A k-ary image starts so too; only its later folds convolve two
-indicator vectors, with the same inverse transform and exactness check.
-The crossover grows its images as direct pairs into class marks.
+follows.  Only a request whose next one reuses X forms its product beside
+X; any other forms it inside X, so a request holds at most one and a half
+half spectra.  The differences' product |X|^2 is real and even, so their
+inverse transform takes half the rows and mirrors the rest; callers
+request A-A before A+A, so that the differences keep X and the sums form
+their product in it.  A k-ary image starts so too; only its later folds
+convolve two indicator vectors, with two half spectra and the same inverse
+transform and exactness check.  The crossover grows its images as direct
+pairs into class marks.
 
 All operations are pure: values never mutate after construction.
 """
@@ -58,16 +64,6 @@ PAIR_BUDGET = 10**10
 # Largest memory (see _pair_sums) allowed for one pair-sum kernel call, in
 # bytes: a quarter of an 8 GB host.
 PAIR_MEMORY_BUDGET = 2**31
-
-# Peak FFT workspace per cell of its grid, on top of the result and one
-# float64 block of rows (see _fft_bytes).  16 bytes of numpy arrays, seen by
-# tracemalloc: two half spectra, A's and the product, on both paths; traced
-# calls at N = 2e5 and 10^6 peaked 14.3-16.3 bytes per cell past their
-# result and block.  1 byte of pocketfft scratch, which tracemalloc misses:
-# transforms along the short axes need only a lane's buffer, and a first
-# (2,-1) call at N = 10^6 (3125 x 1024) raised RSS by 16.4 bytes per cell
-# with its 1-byte result.  See CHANGES.md.
-_FFT_BYTES_PER_SLOT = 16 + 1
 
 # Direct pairs are summed one block of rows at a time, each block of about
 # 10^7 sums, into one reused buffer.
@@ -374,11 +370,14 @@ def _self_pair_sums(
     request runs.
 
     Every request starts from the pair sums of its first two coefficients,
-    which share A's spectrum X at each grid shape and reuse its arrays, X
-    and a product spectrum.  A k-ary request then folds in cj*A for each
-    later cj.  X is kept after a product only if this request is binary and
-    the next has the same shape, so that neither a last inverse transform
-    nor a fold runs beside it.
+    which share A's spectrum X at each grid shape.  A k-ary request then
+    folds in cj*A for each later cj.  X is kept after a product only if
+    this request is binary and the next has the same shape; only such a
+    request forms its product in an array of its own.  Any other forms it
+    inside X, so that X alone is held through its inverse transform and
+    freed before a fold.  A request (1, -1) or (-1, 1), the differences,
+    takes the inverse transform down the columns of half the rows (see
+    _gap_columns), so it holds half a product at most.
     """
     for coeffs, _ in requests:
         _check_int64(coeffs, a.lo, a.hi)
@@ -386,21 +385,24 @@ def _self_pair_sums(
     firsts = [_image_interval(a.lo, a.hi, coeffs[:2]) for coeffs, _ in requests]
     shapes = [_grid_shape(hi - lo + 1) for lo, hi in firsts]
     keeps = [len(c) == 2 and s == after for (c, _), s, after in zip(requests, shapes, shapes[1:] + [None])]
-    held: dict = {}  # shape: (X, product) while the next request has this shape
+    held: dict = {}  # shape: X while the next request has this shape
 
-    def product(coeffs, start, keep, shape):
-        if shape not in held:
-            x = _spectrum(members - a.lo, shape)
-            held[shape] = x, np.empty_like(x)
-        x, out = held[shape] if keep else held.pop(shape)
-        _dilated_product(x, coeffs, shape[1], out)
-        return out, start
+    def columns(coeffs, start, keep, shape):
+        x = held.pop(shape) if shape in held else _spectrum(members - a.lo, shape)
+        if keep:
+            held[shape] = x
+        if _is_gap(coeffs):
+            gap_rows = (shape[0] // 2 + 1, x.shape[1])
+            return _gap_columns(x, np.empty(gap_rows, dtype=x.dtype) if keep else x[: gap_rows[0]]), start
+        product = np.empty_like(x) if keep else x
+        _dilated_product(x, coeffs, shape[1], product)
+        return np.fft.ifft(product, axis=0, out=product), start
 
-    for (coeffs, count), (lo, hi), keep in zip(requests, firsts, keeps):
+    for (coeffs, count), (lo, hi), shape, keep in zip(requests, firsts, shapes, keeps):
         u, v = coeffs[:2]
         # The dilated indicators convolve u*a1 + v*a2 to the index
         # u*(a1 - a.lo) + v*(a2 - a.lo) mod the grid's size, so lo - (u+v)*a.lo holds lo.
-        spectrum = partial(product, (u, v), lo - (u + v) * a.lo, keep)
+        spectrum = partial(columns, (u, v), lo - (u + v) * a.lo, keep), _held_bytes((u, v), shape, keep)
         sums = _pair_sums(u * members, v * members, lo, hi, count, spectrum)
         for j in range(2, len(coeffs)):
             lo, hi = _image_interval(a.lo, a.hi, coeffs[: j + 1])
@@ -409,52 +411,128 @@ def _self_pair_sums(
         del sums  # not held while the next request runs
 
 
+def _is_gap(coeffs: tuple[int, int]) -> bool:
+    """Whether ``coeffs`` is (1, -1) or (-1, 1): pair sums a1 - a2 (or a2 - a1)."""
+    return abs(coeffs[0]) == 1 and coeffs[1] == -coeffs[0]
+
+
+def _half_spectrum_bytes(rows: int, cols: int) -> int:
+    """The bytes of the complex128 half spectrum of a rows x cols grid."""
+    return 16 * rows * (cols // 2 + 1)
+
+
+def _held_bytes(coeffs: tuple[int, int], shape: tuple[int, int], keep: bool) -> int:
+    """The half spectra an FFT request under the binary ``coeffs`` holds on
+    a grid of ``shape``, in bytes: A's spectrum X, and if the request keeps
+    X a product of its own (half the rows of one for the differences), else
+    the lattice copy of X that each factor with |c| > 1 reads (see
+    _dilated_product)."""
+    rows, cols = shape
+    if _is_gap(coeffs):
+        product = _half_spectrum_bytes(rows // 2 + 1, cols) if keep else 0
+    elif keep:
+        product = _half_spectrum_bytes(rows, cols)
+    else:
+        product = sum(_half_spectrum_bytes(rows // gcd(c, rows), cols // gcd(c, cols)) for c in coeffs if abs(c) > 1)
+    return _half_spectrum_bytes(rows, cols) + product
+
+
 def _dilated_product(x: np.ndarray, coeffs: tuple[int, int], cols: int, out: np.ndarray) -> None:
     """out[k, l] = X(u*k, u*l) * X(v*k, v*l) for (u, v) = ``coeffs``, indices
     mod the grid's shape (rows, cols), for l in [0, x.shape[1]), where x
     holds the half spectrum X(k, 0), ..., X(k, cols//2) of a real grid.
+    ``out`` is an array of x's shape, or x itself.
 
     X(c*k, c*l) is the spectrum of the grid dilated by c, and X(-k, -l) =
     conj X(k, l).  Over each rectangle of k and l on which no c*k mod rows
     wraps and no c*l mod cols wraps or passes cols//2, a factor is a strided
-    slice of x, conjugated or not, so the product is formed in place one
-    rectangle at a time, in one or two passes.
+    slice, conjugated or not, so the product is formed one rectangle at a
+    time.  In x itself, a factor with |c| = 1 is read at the cell it
+    overwrites; one with |c| > 1 reads X only at rows = 0 mod gcd(c, rows)
+    and columns = 0 mod gcd(c, cols), so those are copied first, by one
+    strided slice, into a contiguous half spectrum of a smaller grid.
     """
     rows, half = x.shape
+    factors = [_lattice(x, c, cols) if out is x and abs(c) > 1 else (x, abs(c), abs(c), cols) for c in coeffs]
     row_cuts, col_cuts = {0, rows}, {0, half}
-    for c in coeffs:
-        m = abs(c)
-        for s in range(m + 1):
-            edge = -(-s * rows // m)
+    for (y, row_step, col_step, y_cols), c in zip(factors, coeffs):
+        for s in range(abs(c) + 1):
+            edge = -(-s * y.shape[0] // row_step)
             row_cuts.update((min(rows, edge), min(rows, edge + 1)))
-            col_cuts.update(min(half, -(-edge // m)) for edge in (s * cols, s * cols + half))
+            col_cuts.update(min(half, -(-edge // col_step)) for edge in (s * y_cols, s * y_cols + y.shape[1]))
     row_cuts, col_cuts = sorted(row_cuts), sorted(col_cuts)
+    chunk = _grid_block((rows, cols)) * cols // 8
     for k0, k1 in zip(row_cuts, row_cuts[1:]):
         for l0, l1 in zip(col_cuts, col_cuts[1:]):
             seg = out[k0:k1, l0:l1]
-            (a, conj_a), (b, conj_b) = (_dilation(x, c, k0, l0, seg.shape, cols) for c in coeffs)
-            if conj_a == conj_b:
-                np.multiply(a, b, out=seg)
-                if conj_a:
-                    np.conjugate(seg, out=seg)
-            else:  # conj(a) * b or a * conj(b)
-                np.conjugate(a if conj_a else b, out=seg)
-                seg *= b if conj_a else a
+            views = [_dilation(*factor, c < 0, k0, l0, seg.shape) for factor, c in zip(factors, coeffs)]
+            # A factor read at seg's own cells is copied a block of rows at
+            # a time (chunk cells), before the block is written.  A column
+            # is one block: numpy multiplies a lone cell in place by another
+            # path, whose rounding differs from the product's elsewhere.
+            shared = [np.may_share_memory(view, out) for view, _ in views]
+            step = max(1, chunk // (l1 - l0)) if any(shared) and l1 - l0 > 1 else k1 - k0
+            for i in range(0, k1 - k0, step):
+                part = seg[i : i + step]
+                (a, conj_a), (b, conj_b) = (
+                    (view[i : i + step].copy() if copy else view[i : i + step], conj)
+                    for (view, conj), copy in zip(views, shared)
+                )
+                if conj_a == conj_b:
+                    np.multiply(a, b, out=part)
+                    if conj_a:
+                        np.conjugate(part, out=part)
+                else:  # conj(a) * b or a * conj(b)
+                    np.conjugate(a if conj_a else b, out=part)
+                    part *= b if conj_a else a
+
+
+def _lattice(x: np.ndarray, c: int, cols: int) -> tuple[np.ndarray, int, int, int]:
+    """X(|c|*k, |c|*l) as (y, row step, column step, y's grid columns): y is
+    X at rows = 0 mod g_r = gcd(c, rows) and columns = 0 mod g_c = gcd(c,
+    cols), copied contiguous, the half spectrum of a (rows/g_r) x (cols/g_c)
+    grid, and X(|c|*k, |c|*l) = Y(|c|/g_r * k, |c|/g_c * l)."""
+    m = abs(c)
+    g_r, g_c = gcd(m, x.shape[0]), gcd(m, cols)
+    return x[::g_r, ::g_c].copy(), m // g_r, m // g_c, cols // g_c
 
 
 def _dilation(
-    x: np.ndarray, c: int, k0: int, l0: int, shape: tuple[int, int], cols: int
+    y: np.ndarray, row_step: int, col_step: int, cols: int, negate: bool, k0: int, l0: int, shape: tuple[int, int]
 ) -> tuple[np.ndarray, bool]:
-    """X(c*k, c*l) over the rectangle from (k0, l0) of ``shape``, on which
-    |c|*k mod rows does not wrap and |c|*l mod cols neither wraps nor
-    passes cols//2: a strided slice of x, and whether it is to be
-    conjugated.  Past cols//2, X(|c|k, j) = conj X(-|c|k, cols - j), so the
-    rows are read backwards too."""
-    m = abs(c)
-    j = m * l0 % cols
-    step = -m if j >= x.shape[1] else m
-    view = x[step * k0 % x.shape[0] :: step, (j if step > 0 else cols - j) :: step]
-    return view[: shape[0], : shape[1]], (c < 0) != (step < 0)
+    """Y(row_step*k, col_step*l), conjugated if ``negate``, over the
+    rectangle from (k0, l0) of ``shape``, y the half spectrum of a grid of
+    ``cols`` columns, on which the row does not wrap and the column neither
+    wraps nor passes cols//2: a strided slice of y, and whether it is to be
+    conjugated.  Past cols//2, Y(k, j) = conj Y(-k, cols - j), so the rows
+    are read backwards too."""
+    j = col_step * l0 % cols
+    back = j >= y.shape[1]
+    rs, cs = (-row_step, -col_step) if back else (row_step, col_step)
+    view = y[rs * k0 % y.shape[0] :: rs, (cols - j if back else j) :: cs]
+    return view[: shape[0], : shape[1]], negate != back
+
+
+def _gap_columns(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The inverse transform down the columns of |X|^2, the spectrum of A's
+    differences d, for rows 0, ..., rows//2 of x's grid, into ``out``:
+    those rows of x itself, or an array of their shape.
+
+    |X|^2 is real, so each column takes a real transform, conjugated into
+    the inverse; and even, so d(-j, -m) = d(j, m) gives the other rows (see
+    _fft_pair_sums).  |X|^2 is formed a block of columns at a time, each
+    read before its columns of ``out`` are written; a block is about half
+    _GATHER_BLOCK cells, numpy's ufunc buffer for its strided read the rest.
+    """
+    rows, half = x.shape
+    width = max(1, _GATHER_BLOCK // (2 * rows))
+    power = np.empty((rows, min(width, half)))
+    for l0 in range(0, half, width):
+        part = power[:, : min(width, half - l0)]
+        np.abs(x[:, l0 : l0 + width], out=part)
+        np.square(part, out=part)
+        np.fft.rfft(part, axis=0, norm="forward", out=out[:, l0 : l0 + width])
+    return np.conjugate(out, out=out)
 
 
 def _class_marks(coeffs: tuple[int, int], n: int, r: int = 0) -> tuple[int, int]:
@@ -502,7 +580,8 @@ def _grown_sizes(members: np.ndarray, ends: Sequence[int], coeffs: tuple[int, in
 
 
 def _pair_sums(
-    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool, spectrum: Callable | None = None
+    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool,
+    spectrum: tuple[Callable, int] | None = None,
 ) -> _PairSums:
     """Pair sums left[i] + right[j] over the values [lo, hi].
 
@@ -510,8 +589,9 @@ def _pair_sums(
     whether one does (bool) when ``count`` is false, as a _PairSums: dense
     from the direct branch, on a grid from the FFT branch and sorted from
     the sorted one.  ``left`` and ``right`` each hold distinct values, and
-    every sum must lie in [lo, hi].  Given ``spectrum``, the FFT branch
-    takes its product spectrum from it (see _fft_pair_sums).
+    every sum must lie in [lo, hi].  Given ``spectrum``, (a callable, the
+    bytes of half spectra it holds), the FFT branch takes its inverse
+    transform down the columns from the callable (see _fft_pair_sums).
 
     Direct pairs are priced by _direct_price; sorted pairs cost
     _PAIRS_PER_SORT_STEP*pairs*log2(pairs); an FFT convolution costs
@@ -530,8 +610,10 @@ def _pair_sums(
     direct_cost = _direct_price(left.size, right.size, width, count)[0]
     sorted_cost = _PAIRS_PER_SORT_STEP * pairs * math.log2(max(pairs, 2))
     if pairs and fft_cost < min(direct_cost, sorted_cost):
-        _check_budget(fft_cost, _fft_bytes(shape, count), f"an FFT on a {shape[0]} x {shape[1]} grid")
-        found = _fft_pair_sums(left, right, lo, hi, count, spectrum)
+        columns, held = spectrum or (None, 2 * _half_spectrum_bytes(*shape))
+        nbytes = _fft_bytes(shape, count, held, max(left.size, right.size))
+        _check_budget(fft_cost, nbytes, f"an FFT on a {shape[0]} x {shape[1]} grid")
+        found = _fft_pair_sums(left, right, lo, hi, count, columns)
         if found is not None:
             return found
     if sorted_cost < direct_cost:
@@ -541,12 +623,18 @@ def _pair_sums(
     return _direct_pair_sums(left, right, lo, hi, count)
 
 
-def _fft_bytes(shape: tuple[int, int], count: bool) -> int:
-    """Peak memory of _fft_pair_sums on a grid of ``shape``: the result and
-    _FFT_BYTES_PER_SLOT per cell, and one float64 block of rows (see
-    _grid_block) for the indicator, then for the inverse transform."""
+def _fft_bytes(shape: tuple[int, int], count: bool, held: int, members: int) -> int:
+    """Peak memory of _fft_pair_sums on a grid of ``shape`` that holds
+    ``held`` bytes of half spectra (two, A's and the product, unless a
+    shared spectrum holds fewer; see _held_bytes): those, the result, 16
+    bytes for each of the ``members`` of an indicator (its offsets and
+    cells, see _spectrum), and one float64 block of rows (see _grid_block)
+    for the indicator, then for the inverse transform, or a column of the
+    grid if that is longer.  The block also holds numpy's ufunc buffers in
+    the passes that do not use it.  pocketfft's own lane buffers, which
+    tracemalloc misses, are too small to see in RSS (see CHANGES.md)."""
     rows, cols = shape
-    return ((8 if count else 1) + _FFT_BYTES_PER_SLOT) * rows * cols + 8 * _grid_block(shape) * cols
+    return held + (8 if count else 1) * rows * cols + 16 * members + 8 * max(_grid_block(shape) * cols, rows)
 
 
 def _check_budget(cost: float, nbytes: int, what: str) -> None:
@@ -726,10 +814,23 @@ def _crt(offsets: np.ndarray, rows: int, cols: int) -> np.ndarray:
 def _natural(grid: np.ndarray, rows: int, start: int, n: int) -> Iterator[tuple[int, np.ndarray]]:
     """The entries of the flat grid at offsets start, ..., start + n - 1 (mod
     its size) of its cyclic sequence, a block at a time: (i, the entries
-    from the i-th on).  This is the one gather of a grid into value order."""
+    from the i-th on).  This is the one gather of a grid into value order.
+
+    Offset j + 1 sits one row and one column past offset j, so the offsets
+    run down a diagonal of the grid, one strided slice of stride cols + 1,
+    until the row or the column wraps: about rows + cols slices in all."""
+    cols = grid.size // rows
     for i in range(0, n, _GATHER_BLOCK):
-        offsets = np.arange(start + i, start + min(n, i + _GATHER_BLOCK)) % grid.size
-        yield i, grid[_crt(offsets, rows, grid.size // rows)]
+        part = np.empty(min(n - i, _GATHER_BLOCK), dtype=grid.dtype)
+        done = 0
+        while done < part.size:
+            j = (start + i + done) % grid.size
+            row, col = j % rows, j & (cols - 1)
+            run = min(part.size - done, rows - row, cols - col)
+            cell = row * cols + col
+            part[done : done + run] = grid[cell : cell + run * (cols + 1) : cols + 1]
+            done += run
+        yield i, part
 
 
 def _grid_block(shape: tuple[int, int]) -> int:
@@ -762,7 +863,7 @@ def _spectrum(offsets: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _fft_pair_sums(
-    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool, spectrum: Callable | None = None
+    left: np.ndarray, right: np.ndarray, lo: int, hi: int, count: bool, columns: Callable | None = None
 ) -> _PairSums | None:
     """The FFT branch of _pair_sums (left must not be empty), in the grid
     layout; None unless every convolution value lies within 1/4 of an
@@ -770,45 +871,52 @@ def _fft_pair_sums(
 
     The cyclic convolution is taken on the _grid_shape grid, where the
     prime-factor map makes it a 2-D cyclic convolution with no twiddle
-    factors.  ``spectrum(shape)`` returns the pair sums' product spectrum
-    and the offset of lo in their cyclic convolution; by default they come
-    from the indicators of left and right.  After the inverse fft along the
-    columns, each block of rows (see _grid_block) takes its irfft into one
-    float64 block, is rounded into its own spent rows of the product,
-    checked, and cast into the result, so no array as large as the grid is
-    made beside the product and the result.
+    factors.  ``columns(shape)`` returns the inverse transform down the
+    columns of the pair sums' product spectrum, and the offset of lo in
+    their cyclic convolution; by default they come from the indicators of
+    left and right.  It may hold rows 0, ..., rows//2 only, when the pair
+    sums are the differences d of one set: then d(-j, -m) = d(j, m) gives
+    the other rows.  Each block of rows (see _grid_block) takes its irfft
+    into one float64 block, is rounded into its own spent rows of the
+    inverse, checked, and cast into the result, so no array as large as the
+    grid is made beside the inverse and the result.
     """
     shape = rows, cols = _grid_shape(hi - lo + 1)
-    product, start = (spectrum or partial(_indicator_product, left, right, lo))(shape)
-    np.fft.ifft(product, axis=0, out=product)
+    product, start = (columns or partial(_indicator_product, left, right, lo))(shape)
+    done = product.shape[0]
     block = _grid_block(shape)
     raw = np.empty((block, cols))
     cells = np.empty(shape, dtype=np.int64 if count else bool)
-    for r0 in range(0, rows, block):
-        r1 = min(rows, r0 + block)
+    for r0 in range(0, done, block):
+        r1 = min(done, r0 + block)
         part = np.fft.irfft(product[r0:r1], cols, axis=1, out=raw[: r1 - r0])
-        # the block's rows of the product are spent; they hold its rounding
+        # the block's rows of the inverse are spent; they hold its rounding
         spent = product[r0:r1].view(np.float64).ravel()[: part.size].reshape(part.shape)
         whole = np.rint(part, out=spent)
         part -= whole
         if np.abs(part, out=part).max() >= 0.25:
             return None
         np.copyto(cells[r0:r1], whole, casting="unsafe")  # whole holds integers >= 0
+    if done < rows:  # d(-j, -m) = d(j, m): rows rows//2, ..., 1 give the rest
+        mirror = cells[done - 1 : 0 : -1]
+        cells[done:, :1] = mirror[:, :1]
+        cells[done:, 1:] = mirror[:, :0:-1]
     return _PairSums(lo, cells.ravel(), grid=(rows, start % cells.size))
 
 
 def _indicator_product(
     left: np.ndarray, right: np.ndarray, lo: int, shape: tuple[int, int]
 ) -> tuple[np.ndarray, int]:
-    """The product of the spectra of left's and right's indicators, and lo's
-    offset (0) in their convolution."""
+    """The inverse transform down the columns of the product of the spectra
+    of left's and right's indicators, and lo's offset (0) in their
+    convolution."""
     # Index left from its minimum m and right from lo - m: both fit in
     # [0, width) and the offset of each sum is its offset from lo, so the
     # cyclic convolution over the grid's size >= width does not wrap.
     shift = int(left.min())
     product = _spectrum(left - shift, shape)
     product *= _spectrum(right - (lo - shift), shape)
-    return product, 0
+    return np.fft.ifft(product, axis=0, out=product), 0
 
 
 def rep_histogram(a: IntegerSet, kind: str, form: LinearForm | None = None) -> RepHistogram:
@@ -878,8 +986,9 @@ def classify(a: IntegerSet) -> Classification:
     """Compare |A+A| with |A-A| for A over I_N = [0, N] (N = a.hi)."""
     if a.lo != 0:
         raise ValueError("classification is defined for sets over [0, N]")
-    images = _self_pair_sums(a, [(KIND_FORMS[kind].coeffs, False) for kind in ("sum", "diff")])
-    s, d = [next(images).size() for _ in range(2)]
+    # A-A first, so that A+A forms its product inside A's spectrum
+    images = _self_pair_sums(a, [(KIND_FORMS[kind].coeffs, False) for kind in ("diff", "sum")])
+    d, s = [next(images).size() for _ in range(2)]
     return Classification(_domination_label(s, d), s, d)
 
 

@@ -510,38 +510,42 @@ def test_fft_fallback_is_priced(monkeypatch):
 @pytest.mark.parametrize("block", [0, -1], ids=["first-block", "last-partial-block"])
 def test_exactness_is_checked_in_every_block(monkeypatch, block):
     # The differences of [0, 200000] run on a 405 x 1024 grid, finished in
-    # blocks of 64 rows, the last of 21: an inverse transform off by 0.3 in
-    # one block alone fails the check, and the fallback is priced (4e10
-    # direct pairs are refused)
+    # blocks of 64 rows: all 405 rows, the last block of 21, from the
+    # indicators' product, or rows 0-202, the last block of 11, from the
+    # spectrum of A alone, whose other rows mirror those.  An inverse
+    # transform off by 0.3 in one block alone fails the check, and the
+    # fallback is priced (4e10 direct pairs are refused)
     shape = sets._grid_shape(400_003)
-    blocks = -(-shape[0] // sets._grid_block(shape))
-    assert shape == (405, 1024) and blocks == 7 and shape[0] % sets._grid_block(shape) == 21
+    assert shape == (405, 1024) and sets._grid_block(shape) == 64
     calls = []
+    wrong = []  # the index of the block to put off
     real_irfft = np.fft.irfft
 
     def irfft(*args, **kwargs):
         calls.append(args[0].shape[0])
         raw = real_irfft(*args, **kwargs)
-        return raw + 0.3 if len(calls) - 1 == block % blocks else raw
+        return raw + 0.3 if len(calls) - 1 == wrong[0] else raw
 
-    checked = [64] if block == 0 else [64] * 6 + [21]  # the rows of each block finished
     members = np.arange(200_001)
     assert sets._fft_pair_sums(members, -members, -200_000, 200_000, True) is not None
     monkeypatch.setattr(np.fft, "irfft", irfft)
+    wrong.append(block % 7)
     assert sets._fft_pair_sums(members, -members, -200_000, 200_000, True) is None
-    assert calls == checked
+    assert calls == ([64] if block == 0 else [64] * 6 + [21])  # the rows of each block finished
     calls.clear()
+    wrong[0] = block % 4
     with pytest.raises(ResourceBudgetError, match="direct pairs"):
         rep_histogram(make_set(range(200_001), 0, 200_001), "diff")
-    assert calls == checked
+    assert calls == ([64] if block == 0 else [64] * 3 + [11])
 
 
 def test_memory_budget_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(sets, "PAIR_MEMORY_BUDGET", 2**20)
     full = make_set(range(200_001), 0, 200_001)
-    # the FFT branch: an 8-byte count plus 17 bytes of workspace per cell
-    # of the 405 x 1024 grid that covers the 400003 differences, and one
-    # float64 block of 64 rows
+    # the FFT branch: an 8-byte count per cell of the 405 x 1024 grid that
+    # covers the 400003 differences, A's half spectrum, in which their
+    # inverse transform is taken, 16 bytes a member for A's indicator, and
+    # one float64 block of 64 rows
     assert sets._grid_shape(400_003) == (405, 1024)
     with pytest.raises(ResourceBudgetError, match="FFT on a 405 x 1024 grid needs 10 MiB"):
         rep_histogram(full, "diff")
@@ -772,6 +776,81 @@ def test_dilated_spectrum_matches_rfft(nfft, c):
     assert np.allclose(out, expected, atol=1e-9)
 
 
+# Grids whose rows are divisible by 3, by 5, by both and by neither
+PRODUCT_SHAPES = [(27, 32), (25, 64), (45, 16), (1, 256), (7, 32)]
+COEFFICIENT_PAIRS = [(u, v) for u in range(-5, 6) for v in range(-5, 6) if u and v]
+
+
+@pytest.mark.parametrize("block", [2**16, 16], ids=["block", "tiny-block"])
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_product_in_place_matches_product_beside(monkeypatch, shape, block):
+    # Formed inside A's spectrum X, a factor with |c| > 1 read from its
+    # contiguous lattice copy and one with |c| = 1 at the cell it
+    # overwrites, the product equals the one formed in an array of its own,
+    # bit for bit, for every pair of coefficients up to 5 in size.  A block
+    # of 16 cells splits the rectangles into blocks of a few rows.
+    rows, cols = shape
+    members = np.flatnonzero(np.random.default_rng(rows * cols).random(rows * cols) < 0.3)
+    x = sets._spectrum(members, shape)
+    x.flags.writeable = False
+    monkeypatch.setattr(sets, "_GATHER_BLOCK", block)
+    for coeffs in COEFFICIENT_PAIRS:
+        beside = np.empty_like(x)
+        sets._dilated_product(x, coeffs, cols, beside)
+        inside = x.copy()
+        sets._dilated_product(inside, coeffs, cols, inside)
+        assert np.array_equal(inside.view(np.float64), beside.view(np.float64)), coeffs
+
+
+@pytest.mark.parametrize(
+    "n, p, lo",
+    [(10, 0.5, 0), (300, 0.3, -7), (4000, 0.05, 11), (50_000, 0.02, 0), (2 * 10**5, 0.03, -100)],
+    ids=["N10", "N300", "N4000", "N5e4", "N2e5"],
+)
+@pytest.mark.parametrize("count", [True, False], ids=["counts", "marks"])
+def test_differences_on_half_the_rows_match_the_full_inverse(n, p, lo, count):
+    # The differences of a random set over [lo, lo + n], taken on rows 0 to
+    # rows//2 of the grid from A's spectrum alone, the rest mirrored, equal
+    # the indicators' full inverse transform as int64 counts (or marks),
+    # whether the request keeps A's spectrum (its inverse in an array of its
+    # own) or not (inside the spectrum)
+    offsets = np.flatnonzero(np.random.default_rng(n).random(n + 1) < p)
+    a = IntegerSet.from_members(offsets + lo, lo, lo + n)
+    members = a.members()
+    with mock.patch.object(sets, "_PAIRS_PER_FFT_STEP", 1e-9):
+        full = sets._fft_pair_sums(members, -members, -n, n, count)
+        kept = next(sets._self_pair_sums(a, [((1, -1), count), ((1, 1), count)]))
+        last = next(sets._self_pair_sums(a, [((1, -1), count)]))
+    expected = dense(full, -n, n, count)
+    assert expected.dtype == (np.int64 if count else bool)
+    for half in (kept, last):
+        assert half.grid is not None and half.cells.dtype == expected.dtype
+        assert np.array_equal(dense(half, -n, n, count), expected)
+    assert int(expected.sum()) == (a.count**2 if count else diffset(a).count)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 3, 5, 9, 15, 25, 27, 45, 81, 125, 135, 405]),
+    st.sampled_from([1, 2, 4, 8, 16, 64, 256, 1024]),
+    st.data(),
+)
+def test_natural_order_matches_the_crt_gather(rows, cols, data):
+    # Read by diagonal runs, a block at a time, the cyclic sequence from any
+    # start for any length equals the grid gathered at _crt of each offset
+    size = rows * cols
+    start = data.draw(st.integers(0, 3 * size))
+    n = data.draw(st.integers(1, size))
+    grid = np.random.default_rng(size + start).integers(0, 7, size)
+    block = data.draw(st.sampled_from([1, 7, 64, 2**16]))
+    with mock.patch.object(sets, "_GATHER_BLOCK", block):
+        blocks = list(sets._natural(grid, rows, start, n))
+    assert [i for i, _ in blocks] == list(range(0, n, block))
+    found = np.concatenate([part for _, part in blocks])
+    assert found.dtype == grid.dtype
+    assert np.array_equal(found, grid[sets._crt((start + np.arange(n)) % size, rows, cols)])
+
+
 @pytest.mark.parametrize(
     "shape, size",
     [((5, 1024), 900), ((135, 1024), 40_000), ((3, 2**16), 5000), ((3, 2**17), 7000), ((45, 16), 0)],
@@ -814,49 +893,138 @@ def test_no_result_is_held_while_the_next_request_runs(monkeypatch):
     assert not any(map(any, seen))
 
 
-@pytest.mark.parametrize("n", [10**4, 2 * 10**5], ids=["N1e4", "N2e5"])
-def test_dense_images_stay_within_two_slots(n):
-    # The sizes and the (2,-1) form of a run_trial at delta = 0.3: each call
-    # peaks at A's spectrum and the product spectrum (2 float64 slots per
-    # grid cell), plus the result, one float64 block of rows (of at most the
-    # grid's rows) for the indicator and then the inverse transform, the two
-    # dilated member arrays and 64 KiB for ufunc buffers and small objects.
-    # At N = 10^4 a grid is smaller than one block of 2^16 cells, so its
-    # block must not be a full one.
-    a = sample(n, n**-0.3, SamplerSeed(11, 0))
-    images = [(1, 1), (1, -1), (2, -1)]
-    # the first FFT imports numpy.fft; the sizes are checked against the
-    # public kernels before the measured calls
-    sizes = [sumset(a).count, diffset(a).count, form_image(a, LinearForm((2, -1))).count]
-    results = sets._self_pair_sums(a, [(coeffs, False) for coeffs in images])
-    assert sets._FFT_BYTES_PER_SLOT >= 2 * 8
-    before = None  # a binary request keeps its spectra for a next one of its shape
+def traced_call(call):
+    """call()'s result, and its traced peak and its traced memory after it
+    returns, both above the traced memory before it."""
     tracemalloc.start()
     try:
-        for coeffs, size in zip(images, sizes):
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        current, peak = (traced - base for traced in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    return result, peak, current
+
+
+def half_spectrum(rows, cols):
+    return 16 * rows * (cols // 2 + 1)
+
+
+def small_allowance(a):
+    # the two dilated member arrays and 64 KiB for small objects
+    return 2 * 8 * a.count + 2**16
+
+
+def grid_of(a, coeffs):
+    lo, hi = sets._image_interval(a.lo, a.hi, coeffs)
+    return sets._grid_shape(hi - lo + 1)
+
+
+def block_bytes(shape):
+    return 8 * sets._grid_block(shape) * shape[1]
+
+
+@pytest.mark.parametrize("n", [10**5, 2 * 10**5], ids=["N1e5", "N2e5"])
+def test_dense_images_hold_one_and_a_half_spectra(n):
+    # The sizes and the (2,-1) form of a run_trial at delta = 0.3, in its
+    # order.  A-A computes A's spectrum X, keeps it for A+A and holds half a
+    # product beside it: its inverse transform down the columns, of half
+    # the rows.  A+A forms its product inside the X it was given, and the
+    # (2,-1) image, on a larger grid, inside its own X, beside a copy of X's
+    # even columns, the only ones its factor 2 reads.  Each call peaks at
+    # those half spectra, its result, one float64 block of rows (of at most
+    # the grid's rows) and the small allowance.  The grids have 207360 cells
+    # or more, so an extra array of 8 bytes per cell (1.6 MB) exceeds the
+    # block and the allowance (0.6 MB).
+    a = sample(n, n**-0.3, SamplerSeed(11, 0))
+    images = [(1, -1), (1, 1), (2, -1)]
+    # the first FFT imports numpy.fft; the sizes are checked against the
+    # public kernels before the measured calls
+    sizes = [diffset(a).count, sumset(a).count, form_image(a, LinearForm((2, -1))).count]
+    results = sets._self_pair_sums(a, [(coeffs, False) for coeffs in images])
+    shapes = [grid_of(a, coeffs) for coeffs in images]
+    rows, cols = shapes[0]
+    assert shapes[0] == shapes[1] != shapes[2] and rows * cols >= 207360
+    held = [
+        half_spectrum(rows, cols) + half_spectrum(rows // 2 + 1, cols),  # X and half a product
+        0,  # X, held already
+        half_spectrum(*shapes[2]) + half_spectrum(shapes[2][0], shapes[2][1] // 2),  # X and its even columns
+    ]
+    assert [sets._held_bytes(c, shape, keep) for c, shape, keep in zip(images, shapes, [True, False, False])] == [
+        held[0], half_spectrum(rows, cols), held[2]
+    ]
+    tracemalloc.start()
+    try:
+        for coeffs, shape, size, spectra in zip(images, shapes, sizes, held):
+            x = half_spectrum(*shape)
+            assert spectra <= 1.5 * x + 16 * shape[1]  # one and a half half spectra, to a row
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             marks = next(results).cells
             current, peak = (traced - base for traced in tracemalloc.get_traced_memory())
-            lo, hi = sets._image_interval(a.lo, a.hi, coeffs)
-            shape = sets._grid_shape(hi - lo + 1)
-            assert marks.size == shape[0] * shape[1]
+            assert marks.size == shape[0] * shape[1] and np.count_nonzero(marks) == size
             assert a.count**2 > sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*shape)  # the FFT ran
-            buffers = 8 * min(shape[0], max(1, sets._GATHER_BLOCK // shape[1])) * shape[1]
-            small = 2 * 8 * a.count + 2**16
-            if shape == before:
-                # Both spectra were held before the call, so the request adds
-                # only its result and one block, and it releases both spectra,
-                # 16 bytes per half-spectrum cell each.
-                assert peak <= marks.nbytes + buffers + small
-                assert current <= marks.nbytes - 2 * 16 * shape[0] * (shape[1] // 2 + 1) + 2**16
-            else:
-                assert peak <= 2 * 8 * marks.size + marks.nbytes + buffers + small
-            assert np.count_nonzero(marks) == size
+            assert peak <= marks.nbytes + spectra + block_bytes(shape) + small_allowance(a)
+            # A-A holds X and its result after the call; A+A releases X; the
+            # (2,-1) image, whose X is its own, holds its result alone
+            kept = {(1, -1): x, (1, 1): -x, (2, -1): 0}[coeffs]
+            assert current <= marks.nbytes + kept + 2**16
             del marks
-            before = shape
     finally:
         tracemalloc.stop()
+
+
+# FFT calls by the half spectra they hold, past the result and the block
+PRICED_CALLS = {
+    # id: (requests, whether the first keeps A's spectrum, the half spectra
+    # it holds as a function of its grid's shape)
+    "last-sums": ([((1, 1), False)], False, lambda r, c: half_spectrum(r, c)),
+    "last-differences": ([((1, -1), True)], False, lambda r, c: half_spectrum(r, c)),
+    "last-lattice-copy": (  # (2,-1) reads X's even columns
+        [((2, -1), False)], False, lambda r, c: half_spectrum(r, c) + half_spectrum(r, c // 2)),
+    "last-two-copies": (  # on 1125 x 1024: (3,-2) reads a third of X's rows and half its columns
+        [((3, -2), True)], False,
+        lambda r, c: half_spectrum(r, c) + half_spectrum(r // 3, c) + half_spectrum(r, c // 2)),
+    "kept-differences": (
+        [((1, -1), True), ((1, 1), True)], True, lambda r, c: half_spectrum(r, c) + half_spectrum(r // 2 + 1, c)),
+    "kept-sums": ([((1, 1), False), ((1, -1), False)], True, lambda r, c: 2 * half_spectrum(r, c)),
+}
+
+
+@pytest.mark.parametrize("call", PRICED_CALLS)
+def test_fft_calls_peak_within_their_price(call):
+    # Each FFT path at N = 2e5 (|A| = 5260) peaks within _fft_bytes, priced
+    # by the half spectra it holds: one and the lattice copies for a last
+    # request, one and a half for kept differences, two for any other kept
+    # request; plus the small allowance
+    requests, keep, spectra = PRICED_CALLS[call]
+    a = sample(2 * 10**5, (2 * 10**5) ** -0.3, SamplerSeed(11, 0))
+    coeffs, count = requests[0]
+    shape = grid_of(a, coeffs)
+    if call == "last-two-copies":
+        assert shape == (1125, 1024)
+    held = sets._held_bytes(coeffs, shape, keep)
+    assert held == spectra(*shape)
+    next(sets._self_pair_sums(a, requests))  # imports and plans outside the trace
+    result, peak, _ = traced_call(lambda: next(sets._self_pair_sums(a, requests)))
+    assert result.grid is not None and result.cells.size == shape[0] * shape[1]
+    assert peak <= sets._fft_bytes(shape, count, held, a.count) + small_allowance(a)
+
+
+@pytest.mark.parametrize("count", [True, False], ids=["counts", "marks"])
+def test_fft_fold_peaks_within_its_price(count):
+    # A fold convolves two indicators: it holds two half spectra, the
+    # result, one block, and 16 bytes a member of the larger operand, the
+    # sum set, while its indicator is built
+    a = sample(2 * 10**5, (2 * 10**5) ** -0.3, SamplerSeed(11, 0))
+    left, right = sumset(a).members(), a.members()
+    lo, hi = sets._image_interval(a.lo, a.hi, (1, 1, 1))
+    shape = sets._grid_shape(hi - lo + 1)
+    assert left.size * right.size > sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*shape)
+    price = sets._fft_bytes(shape, count, 2 * half_spectrum(*shape), left.size)
+    result, peak, _ = traced_call(lambda: sets._pair_sums(left, right, lo, hi, count))
+    assert result.grid is not None
+    assert peak <= price + 2**16
 
 
 @pytest.mark.parametrize("count", [True, False], ids=["counts", "marks"])
