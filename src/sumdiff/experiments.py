@@ -26,7 +26,7 @@ from .predictions import PredictionBundle, asymptotic_bundle, expected_tuple_cou
 from .sampling import GENERATOR_NAME, PFamily, SamplerSeed, _nested_draw, p_of, sample
 from .sampling import sample_uniforms  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import KIND_FORMS, LinearForm, _class_marks, _grown_sizes, _histogram, _self_pair_sums
-from .sets import _boolean, _check_int64, _integer, _real, _tuple_count, multiplicity_profile
+from .sets import _boolean, _check_int64, _integer, _real, _tuple_counts, multiplicity_profile
 from .sets import diffset, form_image, sumset  # noqa: F401  (traced here by perfbench/layers.py)
 from .sets import rep_histogram, repeated_gap_pairs, tuple_statistic  # noqa: F401  (likewise)
 from .thresholds import classify_pair
@@ -235,12 +235,11 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     xs = xps = ()
     y = None
     if "diff" in profiles:
-        gaps = profiles["diff"]
-        xps = tuple(_tuple_count(gaps, k) for k in range(1, spec.max_k + 1))
-        y = _tuple_count(gaps, 2) // 2 if spec.y else None  # repeated_gap_pairs
+        gaps = _tuple_counts(profiles["diff"], max(spec.max_k, 2 * spec.y))
+        xps = tuple(gaps[: spec.max_k])
+        y = gaps[1] // 2 if spec.y else None  # repeated_gap_pairs: half of xp2
     if "sum" in profiles:
-        sums = profiles["sum"]
-        xs = tuple(_tuple_count(sums, k) for k in range(1, spec.max_k + 1))
+        xs = tuple(_tuple_counts(profiles["sum"], spec.max_k))
         if a.count:
             _check_partial_sum_identity(sizes[KIND_FORMS["sum"]], xs, 0, "sums")
             _check_partial_sum_identity(sizes[KIND_FORMS["diff"]], xps, 1, "differences")

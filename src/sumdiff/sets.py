@@ -33,10 +33,13 @@ are the inverse transform of X(u*k) * X(v*k), and the spectrum of A
 dilated by c is X(c*k), read off X by strided slices along both axes.  So
 the sum set, the difference set and the (2,-1) image of one large set take
 5 transforms, not 9, in one call whose ordered requests the sharing
-follows.  Only a request whose next one reuses X forms its product beside
-X; any other forms it inside X, so a request holds at most one and a half
-half spectra.  The differences' product |X|^2 is real and even, so their
-inverse transform takes half the rows and mirrors the rest; callers
+follows.  A request forms its product inside X unless the next one reuses
+X, or unless the copies of X's rows that its odd factors |c| > 1 read
+would hold a half spectrum or more; an even factor reads X's columns in
+place, written in order of their 2-adic valuation.  So a request holds at
+most two half spectra, and (2,-1) one.  The differences' product |X|^2
+is real and even, so their inverse transform takes half the rows and
+mirrors the rest; callers
 request A-A before A+A, so that the differences keep X and the sums form
 their product in it.  A k-ary image starts so too; only its later folds
 convolve two indicator vectors, with two half spectra and the same inverse
@@ -51,7 +54,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from itertools import repeat
 from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -78,6 +83,10 @@ _GATHER_BLOCK = 2**16
 # measured at N = 10^6, |A| = 2000 and 6000, marks (1.3-2.0 ns over 5-8.5
 # ns; see the table in CHANGES.md).
 _PAIRS_PER_FFT_STEP = 0.3
+
+# The fixed cost of one FFT call, in steps: about 110 us over a direct
+# call's, 3*10^4 direct pairs, measured on grids of 25 to 4320 cells.
+_FFT_CALL_STEPS = 10**5
 
 # Axes up to _SHORT_AXIS long transform within cache; each doubling past it
 # costs _LONG_AXIS_STEPS more steps per cell (see _grid_steps).
@@ -372,12 +381,13 @@ def _self_pair_sums(
     Every request starts from the pair sums of its first two coefficients,
     which share A's spectrum X at each grid shape.  A k-ary request then
     folds in cj*A for each later cj.  X is kept after a product only if
-    this request is binary and the next has the same shape; only such a
-    request forms its product in an array of its own.  Any other forms it
-    inside X, so that X alone is held through its inverse transform and
-    freed before a fold.  A request (1, -1) or (-1, 1), the differences,
-    takes the inverse transform down the columns of half the rows (see
-    _gap_columns), so it holds half a product at most.
+    this request is binary and the next has the same shape.  Such a
+    request, or one whose lattice copies would hold a half spectrum or more
+    (see _inside), forms its product in an array of its own.  Any other
+    forms it inside X, so that X alone is held through its inverse
+    transform and freed before a fold.  A request (1, -1) or (-1, 1), the
+    differences, takes the inverse transform down the columns of half the
+    rows (see _gap_columns), so it holds half a product at most.
     """
     for coeffs, _ in requests:
         _check_int64(coeffs, a.lo, a.hi)
@@ -394,7 +404,7 @@ def _self_pair_sums(
         if _is_gap(coeffs):
             gap_rows = (shape[0] // 2 + 1, x.shape[1])
             return _gap_columns(x, np.empty(gap_rows, dtype=x.dtype) if keep else x[: gap_rows[0]]), start
-        product = np.empty_like(x) if keep else x
+        product = x if _inside(coeffs, shape, keep) else np.empty_like(x)
         _dilated_product(x, coeffs, shape[1], product)
         return np.fft.ifft(product, axis=0, out=product), start
 
@@ -421,20 +431,31 @@ def _half_spectrum_bytes(rows: int, cols: int) -> int:
     return 16 * rows * (cols // 2 + 1)
 
 
+def _lattice_bytes(coeffs: tuple[int, int], shape: tuple[int, int]) -> int:
+    """The bytes of the lattice copies (see _lattice) that a product formed
+    inside X on a grid of ``shape`` reads: one for each odd |c| > 1, of X's
+    rows = 0 mod gcd(c, rows)."""
+    rows, cols = shape
+    return sum(_half_spectrum_bytes(rows // gcd(c, rows), cols) for c in coeffs if c % 2 and abs(c) > 1)
+
+
+def _inside(coeffs: tuple[int, int], shape: tuple[int, int], keep: bool) -> bool:
+    """Whether an FFT request under the binary ``coeffs`` forms its product
+    inside X: unless it keeps X for the next request, or its lattice copies
+    would hold a half spectrum or more, as much as a product beside X."""
+    return not keep and _lattice_bytes(coeffs, shape) < _half_spectrum_bytes(*shape)
+
+
 def _held_bytes(coeffs: tuple[int, int], shape: tuple[int, int], keep: bool) -> int:
     """The half spectra an FFT request under the binary ``coeffs`` holds on
-    a grid of ``shape``, in bytes: A's spectrum X, and if the request keeps
-    X a product of its own (half the rows of one for the differences), else
-    the lattice copy of X that each factor with |c| > 1 reads (see
-    _dilated_product)."""
+    a grid of ``shape``, in bytes: A's spectrum X, and a product of its own
+    (half the rows of one for the differences, none for differences that
+    do not keep X), or, inside X, the lattice copies it reads."""
     rows, cols = shape
+    x = _half_spectrum_bytes(rows, cols)
     if _is_gap(coeffs):
-        product = _half_spectrum_bytes(rows // 2 + 1, cols) if keep else 0
-    elif keep:
-        product = _half_spectrum_bytes(rows, cols)
-    else:
-        product = sum(_half_spectrum_bytes(rows // gcd(c, rows), cols // gcd(c, cols)) for c in coeffs if abs(c) > 1)
-    return _half_spectrum_bytes(rows, cols) + product
+        return x + (_half_spectrum_bytes(rows // 2 + 1, cols) if keep else 0)
+    return x + (_lattice_bytes(coeffs, shape) if _inside(coeffs, shape, keep) else x)
 
 
 def _dilated_product(x: np.ndarray, coeffs: tuple[int, int], cols: int, out: np.ndarray) -> None:
@@ -447,69 +468,136 @@ def _dilated_product(x: np.ndarray, coeffs: tuple[int, int], cols: int, out: np.
     conj X(k, l).  Over each rectangle of k and l on which no c*k mod rows
     wraps and no c*l mod cols wraps or passes cols//2, a factor is a strided
     slice, conjugated or not, so the product is formed one rectangle at a
-    time.  In x itself, a factor with |c| = 1 is read at the cell it
-    overwrites; one with |c| > 1 reads X only at rows = 0 mod gcd(c, rows)
-    and columns = 0 mod gcd(c, cols), so those are copied first, by one
-    strided slice, into a contiguous half spectrum of a smaller grid.
+    time.  Inside and beside x it takes one traversal, so the two are equal
+    bit for bit.
+
+    With no even coefficient, the rectangles span all columns at once.  In
+    x itself, a factor with |c| = 1 is read at the cell it overwrites, and
+    is copied first only where numpy would not read it so: the other factor
+    is conjugated into the cell first, or the rectangle is one cell, which
+    numpy multiplies in place by another path, whose rounding differs.  A
+    factor with odd |c| > 1 reads X only at rows = 0 mod gcd(c, rows), so
+    those rows are copied first into a contiguous half spectrum of a smaller
+    grid (_lattice).
+
+    With an even coefficient, the columns are written in order of their
+    2-adic valuation (see _levels): cols is a power of 2, so the factor at
+    column l reads column c*l mod cols, folded at cols//2, whose valuation is
+    larger unless it is column 0.  It is written later, so it is intact when
+    read, and column 0, last, reads a copy of itself.  A level is strided,
+    and numpy's arithmetic on strided complex views is slow, so each block
+    of rows gathers both factors into contiguous buffers, multiplies there
+    and scatters the block into place.
     """
     rows, half = x.shape
-    factors = [_lattice(x, c, cols) if out is x and abs(c) > 1 else (x, abs(c), abs(c), cols) for c in coeffs]
+    factors = [_lattice(x, c, cols) if out is x and c % 2 and abs(c) > 1 else (x, abs(c), abs(c), cols) for c in coeffs]
     row_cuts, col_cuts = {0, rows}, {0, half}
     for (y, row_step, col_step, y_cols), c in zip(factors, coeffs):
         for s in range(abs(c) + 1):
             edge = -(-s * y.shape[0] // row_step)
             row_cuts.update((min(rows, edge), min(rows, edge + 1)))
             col_cuts.update(min(half, -(-edge // col_step)) for edge in (s * y_cols, s * y_cols + y.shape[1]))
-    row_cuts, col_cuts = sorted(row_cuts), sorted(col_cuts)
-    chunk = _grid_block((rows, cols)) * cols // 8
-    for k0, k1 in zip(row_cuts, row_cuts[1:]):
-        for l0, l1 in zip(col_cuts, col_cuts[1:]):
-            seg = out[k0:k1, l0:l1]
-            views = [_dilation(*factor, c < 0, k0, l0, seg.shape) for factor, c in zip(factors, coeffs)]
-            # A factor read at seg's own cells is copied a block of rows at
-            # a time (chunk cells), before the block is written.  A column
-            # is one block: numpy multiplies a lone cell in place by another
-            # path, whose rounding differs from the product's elsewhere.
-            shared = [np.may_share_memory(view, out) for view, _ in views]
-            step = max(1, chunk // (l1 - l0)) if any(shared) and l1 - l0 > 1 else k1 - k0
-            for i in range(0, k1 - k0, step):
-                part = seg[i : i + step]
-                (a, conj_a), (b, conj_b) = (
-                    (view[i : i + step].copy() if copy else view[i : i + step], conj)
-                    for (view, conj), copy in zip(views, shared)
-                )
-                if conj_a == conj_b:
-                    np.multiply(a, b, out=part)
-                    if conj_a:
-                        np.conjugate(part, out=part)
-                else:  # conj(a) * b or a * conj(b)
-                    np.conjugate(a if conj_a else b, out=part)
-                    part *= b if conj_a else a
+    row_cuts = sorted(row_cuts)
+    # two complex buffers of chunk cells make one float64 block
+    chunk = max(1, _grid_block((rows, cols)) * cols // 4)
+    even = not all(c % 2 for c in coeffs)
+    buffers = np.empty((2, chunk), dtype=x.dtype) if even else None
+    for level in _levels(half, cols) if even else [range(half)]:
+        if even and level.start == 0:  # column 0 reads itself
+            zero = x[:, :1].copy()
+            factors = [(zero if y is x else y, *steps) for y, *steps in factors]
+        # the column cuts as positions in the level
+        level_cuts = sorted({min(len(level), max(0, -(-(l - level.start) // level.step))) for l in col_cuts})
+        for k0, k1 in zip(row_cuts, row_cuts[1:]):
+            for t0, t1 in zip(level_cuts, level_cuts[1:]):
+                seg = out[k0:k1, level.start : level.stop : level.step][:, t0:t1]
+                views = [
+                    _dilation(*factor, c < 0, k0, level[t0], level.step, seg.shape)
+                    for factor, c in zip(factors, coeffs)
+                ]
+                if even:
+                    _multiply_through(seg, views, buffers)
+                else:
+                    _multiply_in_place(seg, views, [y is out for y, *_ in factors], chunk)
+
+
+def _levels(half: int, cols: int) -> list[range]:
+    """The columns [0, half) of a grid of ``cols`` columns, a power of 2, by
+    2-adic valuation: the odd columns, then 2 mod 4, and so on, column 0
+    last."""
+    return [range(1 << s, half, 2 << s) for s in range(cols.bit_length() - 1)] + [range(1)]
+
+
+def _multiply_in_place(seg: np.ndarray, views: list, aliased: list[bool], chunk: int) -> None:
+    """seg = the product of the two ``views``, each a factor and whether to
+    conjugate it.  A factor ``aliased`` to seg's own cells is copied first,
+    a block of rows (``chunk`` cells) at a time, only where numpy would not
+    read it in place: the other factor is conjugated into seg first, or seg
+    is one cell."""
+    rows, width = seg.shape
+    mismatched = views[0][1] != views[1][1]
+    copy = [alias and (seg.size == 1 or (mismatched and not conj)) for alias, (_, conj) in zip(aliased, views)]
+    step = max(1, chunk // width) if any(copy) else rows
+    for i in range(0, rows, step):
+        part = seg[i : i + step]
+        (a, conj_a), (b, conj_b) = (
+            (view[i : i + step].copy() if copied else view[i : i + step], conj)
+            for (view, conj), copied in zip(views, copy)
+        )
+        if conj_a == conj_b:
+            np.multiply(a, b, out=part)
+            if conj_a:
+                np.conjugate(part, out=part)
+        else:  # conj(a) * b or a * conj(b)
+            np.conjugate(a if conj_a else b, out=part)
+            part *= b if conj_a else a
+
+
+def _multiply_through(seg: np.ndarray, views: list, buffers: np.ndarray) -> None:
+    """seg = the product of the two ``views``, each a factor and whether to
+    conjugate it, a block of rows at a time: both factors are gathered into
+    the two contiguous ``buffers``, multiplied there and scattered into
+    seg."""
+    rows, width = seg.shape
+    step = max(1, buffers.shape[1] // width)
+    (view_a, conj_a), (view_b, conj_b) = views
+    for i in range(0, rows, step):
+        part = seg[i : i + step]
+        a, b = (buffer[: part.size].reshape(part.shape) for buffer in buffers)
+        np.copyto(a, view_a[i : i + step])
+        np.copyto(b, view_b[i : i + step])
+        if conj_a != conj_b:
+            np.conjugate(a if conj_a else b, out=a if conj_a else b)
+        np.multiply(a, b, out=a)
+        if conj_a and conj_b:
+            np.conjugate(a, out=a)
+        np.copyto(part, a)
 
 
 def _lattice(x: np.ndarray, c: int, cols: int) -> tuple[np.ndarray, int, int, int]:
-    """X(|c|*k, |c|*l) as (y, row step, column step, y's grid columns): y is
-    X at rows = 0 mod g_r = gcd(c, rows) and columns = 0 mod g_c = gcd(c,
-    cols), copied contiguous, the half spectrum of a (rows/g_r) x (cols/g_c)
-    grid, and X(|c|*k, |c|*l) = Y(|c|/g_r * k, |c|/g_c * l)."""
+    """X(|c|*k, |c|*l) for odd c as (y, row step, column step, y's grid
+    columns): y is X at rows = 0 mod g = gcd(c, rows), copied contiguous,
+    the half spectrum of a (rows/g) x cols grid, and X(|c|*k, |c|*l) =
+    Y(|c|/g * k, |c| * l)."""
     m = abs(c)
-    g_r, g_c = gcd(m, x.shape[0]), gcd(m, cols)
-    return x[::g_r, ::g_c].copy(), m // g_r, m // g_c, cols // g_c
+    g = gcd(m, x.shape[0])
+    return x[::g].copy(), m // g, m, cols
 
 
 def _dilation(
-    y: np.ndarray, row_step: int, col_step: int, cols: int, negate: bool, k0: int, l0: int, shape: tuple[int, int]
+    y: np.ndarray, row_step: int, col_step: int, cols: int, negate: bool, k0: int, l0: int, l_step: int,
+    shape: tuple[int, int],
 ) -> tuple[np.ndarray, bool]:
-    """Y(row_step*k, col_step*l), conjugated if ``negate``, over the
-    rectangle from (k0, l0) of ``shape``, y the half spectrum of a grid of
-    ``cols`` columns, on which the row does not wrap and the column neither
-    wraps nor passes cols//2: a strided slice of y, and whether it is to be
-    conjugated.  Past cols//2, Y(k, j) = conj Y(-k, cols - j), so the rows
-    are read backwards too."""
+    """Y(row_step*k, col_step*l), conjugated if ``negate``, over the rows
+    from k0 and the columns l0, l0 + l_step, ... of ``shape``, y the half
+    spectrum of a grid of ``cols`` columns, on which the row does not wrap
+    and the column neither wraps nor passes cols//2: a strided slice of y,
+    and whether it is to be conjugated.  Past cols//2, Y(k, j) = conj Y(-k,
+    cols - j), so the rows are read backwards too."""
     j = col_step * l0 % cols
     back = j >= y.shape[1]
     rs, cs = (-row_step, -col_step) if back else (row_step, col_step)
-    view = y[rs * k0 % y.shape[0] :: rs, (cols - j if back else j) :: cs]
+    view = y[rs * k0 % y.shape[0] :: rs, (cols - j if back else j) :: cs * l_step]
     return view[: shape[0], : shape[1]], negate != back
 
 
@@ -595,8 +683,7 @@ def _pair_sums(
 
     Direct pairs are priced by _direct_price; sorted pairs cost
     _PAIRS_PER_SORT_STEP*pairs*log2(pairs); an FFT convolution costs
-    _PAIRS_PER_FFT_STEP*_grid_steps(*shape), on the _grid_shape of the
-    interval.  The cheapest branch runs, and an FFT result that does not
+    _fft_cost(shape), on the _grid_shape of the interval.  The cheapest branch runs, and an FFT result that does not
     round to exact integers falls back to the cheaper of the other two.
     This is the package's only cost model: before allocating anything, each
     branch raises ResourceBudgetError if its cost exceeds the pair budget or
@@ -606,7 +693,7 @@ def _pair_sums(
     width = hi - lo + 1
     pairs = left.size * right.size
     shape = _grid_shape(width)
-    fft_cost = _PAIRS_PER_FFT_STEP * _grid_steps(*shape)
+    fft_cost = _fft_cost(shape)
     direct_cost = _direct_price(left.size, right.size, width, count)[0]
     sorted_cost = _PAIRS_PER_SORT_STEP * pairs * math.log2(max(pairs, 2))
     if pairs and fft_cost < min(direct_cost, sorted_cost):
@@ -623,15 +710,23 @@ def _pair_sums(
     return _direct_pair_sums(left, right, lo, hi, count)
 
 
+def _fft_cost(shape: tuple[int, int]) -> float:
+    """The cost of an FFT call on a grid of ``shape``, in direct pairs:
+    _PAIRS_PER_FFT_STEP for each of its _grid_steps and _FFT_CALL_STEPS."""
+    return _PAIRS_PER_FFT_STEP * (_grid_steps(*shape) + _FFT_CALL_STEPS)
+
+
 def _fft_bytes(shape: tuple[int, int], count: bool, held: int, members: int) -> int:
     """Peak memory of _fft_pair_sums on a grid of ``shape`` that holds
     ``held`` bytes of half spectra (two, A's and the product, unless a
     shared spectrum holds fewer; see _held_bytes): those, the result, 16
     bytes for each of the ``members`` of an indicator (its offsets and
     cells, see _spectrum), and one float64 block of rows (see _grid_block)
-    for the indicator, then for the inverse transform, or a column of the
-    grid if that is longer.  The block also holds numpy's ufunc buffers in
-    the passes that do not use it.  pocketfft's own lane buffers, which
+    for the indicator, then the product's two gather buffers, then the
+    inverse transform, or a column of the grid if that is longer.  The
+    product's copy of column 0 (see _dilated_product), 16 bytes a row, is
+    held before the result is made.  The block also holds numpy's ufunc
+    buffers in the passes that do not use it.  pocketfft's own lane buffers, which
     tracemalloc misses, are too small to see in RSS (see CHANGES.md)."""
     rows, cols = shape
     return held + (8 if count else 1) * rows * cols + 16 * members + 8 * max(_grid_block(shape) * cols, rows)
@@ -950,9 +1045,11 @@ def multiplicity_profile(hist: RepHistogram) -> dict[int, int]:
     return {i: t for i, t in zip(sizes.tolist(), times.tolist()) if t}
 
 
-def _tuple_count(profile: dict[int, int], k: int) -> int:
-    """Sum over i of C(i, k) * tau_i, in exact integers."""
-    return sum(math.comb(i, k) * times for i, times in profile.items())
+def _tuple_counts(profile: dict[int, int], most: int) -> list[int]:
+    """Sum over i of C(i, k) * tau_i for k = 1, ..., most, in exact integers,
+    each k in one pass over the profile's two lists."""
+    sizes, times = list(profile), list(profile.values())
+    return [sum(map(mul, map(math.comb, sizes, repeat(k)), times)) for k in range(1, most + 1)]
 
 
 def tuple_statistic(hist: RepHistogram, k: int) -> int:
@@ -961,7 +1058,7 @@ def tuple_statistic(hist: RepHistogram, k: int) -> int:
     Sum over values v of C(R(v), k), with v = 0 excluded for diff
     histograms.  Exact integer arithmetic (results can exceed 64 bits).
     """
-    return _tuple_count(multiplicity_profile(hist), _integer(k, "k", least=1))
+    return _tuple_counts(multiplicity_profile(hist), _integer(k, "k", least=1))[-1]
 
 
 def repeated_gap_pairs(hist: RepHistogram) -> int:

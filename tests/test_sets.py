@@ -784,11 +784,12 @@ COEFFICIENT_PAIRS = [(u, v) for u in range(-5, 6) for v in range(-5, 6) if u and
 @pytest.mark.parametrize("block", [2**16, 16], ids=["block", "tiny-block"])
 @pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
 def test_product_in_place_matches_product_beside(monkeypatch, shape, block):
-    # Formed inside A's spectrum X, a factor with |c| > 1 read from its
-    # contiguous lattice copy and one with |c| = 1 at the cell it
-    # overwrites, the product equals the one formed in an array of its own,
-    # bit for bit, for every pair of coefficients up to 5 in size.  A block
-    # of 16 cells splits the rectangles into blocks of a few rows.
+    # Formed inside A's spectrum X, a factor with odd |c| > 1 read from its
+    # contiguous lattice copy, one with |c| = 1 at the cell it overwrites
+    # and one with even c at columns not yet written, the product equals
+    # the one formed in an array of its own, bit for bit, for every pair of
+    # coefficients up to 5 in size.  A block of 16 cells splits the
+    # rectangles into blocks of a few rows.
     rows, cols = shape
     members = np.flatnonzero(np.random.default_rng(rows * cols).random(rows * cols) < 0.3)
     x = sets._spectrum(members, shape)
@@ -800,6 +801,46 @@ def test_product_in_place_matches_product_beside(monkeypatch, shape, block):
         inside = x.copy()
         sets._dilated_product(inside, coeffs, cols, inside)
         assert np.array_equal(inside.view(np.float64), beside.view(np.float64)), coeffs
+
+
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES + [(3125, 1024)], ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_product_holds_at_most_two_half_spectra(shape):
+    # Inside X, an even coefficient reads no lattice copy, and a request
+    # whose copies would hold a half spectrum or more goes beside X: no
+    # path holds more than X and a product's worth, whether it keeps X or
+    # not
+    x = half_spectrum(*shape)
+    for coeffs in COEFFICIENT_PAIRS:
+        for keep in (True, False):
+            assert sets._held_bytes(coeffs, shape, keep) <= 2 * x, (coeffs, keep)
+    assert sets._held_bytes((2, -1), shape, False) == x
+
+
+@pytest.mark.parametrize("shape", PRODUCT_SHAPES, ids=lambda shape: f"{shape[0]}x{shape[1]}")
+def test_even_coefficients_copy_no_lattice(monkeypatch, shape):
+    # Formed inside X, the product copies a lattice for each odd |c| > 1
+    # alone
+    rows, cols = shape
+    copied = []
+    real = sets._lattice
+    monkeypatch.setattr(sets, "_lattice", lambda x, c, cols: copied.append(c) or real(x, c, cols))
+    spectrum = sets._spectrum(np.arange(0, rows * cols, 7), shape)
+    for coeffs in COEFFICIENT_PAIRS:
+        copied.clear()
+        inside = spectrum.copy()
+        sets._dilated_product(inside, coeffs, cols, inside)
+        assert copied == [c for c in coeffs if c % 2 and abs(c) > 1], coeffs
+
+
+def test_small_sets_take_no_fft():
+    # An FFT call costs about 10^5 steps however small its grid, so the 13
+    # members of [0, 12] take direct pairs for every image and histogram
+    a = make_set(range(13), 0, 12)
+    with mock.patch.object(sets, "_fft_pair_sums", side_effect=AssertionError("FFT")):
+        sizes = [sumset(a).count, diffset(a).count, form_image(a, LinearForm((2, -1))).count]
+        hists = [rep_histogram(a, "sum"), rep_histogram(a, "diff")]
+    assert sizes == [25, 25, 37]
+    assert [h.total() for h in hists] == [13 * 14 // 2, 13**2]
 
 
 @pytest.mark.parametrize(
@@ -930,8 +971,8 @@ def test_dense_images_hold_one_and_a_half_spectra(n):
     # order.  A-A computes A's spectrum X, keeps it for A+A and holds half a
     # product beside it: its inverse transform down the columns, of half
     # the rows.  A+A forms its product inside the X it was given, and the
-    # (2,-1) image, on a larger grid, inside its own X, beside a copy of X's
-    # even columns, the only ones its factor 2 reads.  Each call peaks at
+    # (2,-1) image, on a larger grid, inside its own X with no copy: its
+    # factor 2 reads columns of X not yet written.  Each call peaks at
     # those half spectra, its result, one float64 block of rows (of at most
     # the grid's rows) and the small allowance.  The grids have 207360 cells
     # or more, so an extra array of 8 bytes per cell (1.6 MB) exceeds the
@@ -948,7 +989,7 @@ def test_dense_images_hold_one_and_a_half_spectra(n):
     held = [
         half_spectrum(rows, cols) + half_spectrum(rows // 2 + 1, cols),  # X and half a product
         0,  # X, held already
-        half_spectrum(*shapes[2]) + half_spectrum(shapes[2][0], shapes[2][1] // 2),  # X and its even columns
+        half_spectrum(*shapes[2]),  # X alone
     ]
     assert [sets._held_bytes(c, shape, keep) for c, shape, keep in zip(images, shapes, [True, False, False])] == [
         held[0], half_spectrum(rows, cols), held[2]
@@ -963,7 +1004,7 @@ def test_dense_images_hold_one_and_a_half_spectra(n):
             marks = next(results).cells
             current, peak = (traced - base for traced in tracemalloc.get_traced_memory())
             assert marks.size == shape[0] * shape[1] and np.count_nonzero(marks) == size
-            assert a.count**2 > sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*shape)  # the FFT ran
+            assert a.count**2 > sets._fft_cost(shape)  # the FFT ran
             assert peak <= marks.nbytes + spectra + block_bytes(shape) + small_allowance(a)
             # A-A holds X and its result after the call; A+A releases X; the
             # (2,-1) image, whose X is its own, holds its result alone
@@ -980,11 +1021,14 @@ PRICED_CALLS = {
     # it holds as a function of its grid's shape)
     "last-sums": ([((1, 1), False)], False, lambda r, c: half_spectrum(r, c)),
     "last-differences": ([((1, -1), True)], False, lambda r, c: half_spectrum(r, c)),
-    "last-lattice-copy": (  # (2,-1) reads X's even columns
-        [((2, -1), False)], False, lambda r, c: half_spectrum(r, c) + half_spectrum(r, c // 2)),
-    "last-two-copies": (  # on 1125 x 1024: (3,-2) reads a third of X's rows and half its columns
-        [((3, -2), True)], False,
-        lambda r, c: half_spectrum(r, c) + half_spectrum(r // 3, c) + half_spectrum(r, c // 2)),
+    "last-even": ([((2, -1), False)], False, lambda r, c: half_spectrum(r, c)),  # (2,-1) copies nothing
+    "last-lattice-copy": (  # on 405 x 2048: (3,-1) reads a third of X's rows
+        [((3, -1), False)], False, lambda r, c: half_spectrum(r, c) + half_spectrum(r // 3, c)),
+    "last-two-copies": (  # on 1875 x 1024: (5,-3) reads a fifth and a third of X's rows
+        [((5, -3), True)], False,
+        lambda r, c: half_spectrum(r, c) + half_spectrum(r // 3, c) + half_spectrum(r // 5, c)),
+    "last-beside": (  # on 729 x 2048: (5,-2)'s copy of X would be a half spectrum, so it goes beside X
+        [((5, -2), False)], False, lambda r, c: 2 * half_spectrum(r, c)),
     "kept-differences": (
         [((1, -1), True), ((1, 1), True)], True, lambda r, c: half_spectrum(r, c) + half_spectrum(r // 2 + 1, c)),
     "kept-sums": ([((1, 1), False), ((1, -1), False)], True, lambda r, c: 2 * half_spectrum(r, c)),
@@ -994,15 +1038,16 @@ PRICED_CALLS = {
 @pytest.mark.parametrize("call", PRICED_CALLS)
 def test_fft_calls_peak_within_their_price(call):
     # Each FFT path at N = 2e5 (|A| = 5260) peaks within _fft_bytes, priced
-    # by the half spectra it holds: one and the lattice copies for a last
-    # request, one and a half for kept differences, two for any other kept
-    # request; plus the small allowance
+    # by the half spectra it holds: one and the lattice copies its odd
+    # factors |c| > 1 read for a last request formed inside X, one and a
+    # half for kept differences, two for any other request; plus the small
+    # allowance
     requests, keep, spectra = PRICED_CALLS[call]
     a = sample(2 * 10**5, (2 * 10**5) ** -0.3, SamplerSeed(11, 0))
     coeffs, count = requests[0]
     shape = grid_of(a, coeffs)
-    if call == "last-two-copies":
-        assert shape == (1125, 1024)
+    assert shape == {"last-lattice-copy": (405, 2048), "last-two-copies": (1875, 1024),
+                     "last-beside": (729, 2048)}.get(call, shape)
     held = sets._held_bytes(coeffs, shape, keep)
     assert held == spectra(*shape)
     next(sets._self_pair_sums(a, requests))  # imports and plans outside the trace
@@ -1020,7 +1065,7 @@ def test_fft_fold_peaks_within_its_price(count):
     left, right = sumset(a).members(), a.members()
     lo, hi = sets._image_interval(a.lo, a.hi, (1, 1, 1))
     shape = sets._grid_shape(hi - lo + 1)
-    assert left.size * right.size > sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*shape)
+    assert left.size * right.size > sets._fft_cost(shape)
     price = sets._fft_bytes(shape, count, 2 * half_spectrum(*shape), left.size)
     result, peak, _ = traced_call(lambda: sets._pair_sums(left, right, lo, hi, count))
     assert result.grid is not None
@@ -1037,7 +1082,7 @@ def test_direct_pairs_stay_within_their_price(monkeypatch, count):
     members = np.arange(0, 10**6 + 1, 1000)
     lo, hi = -(10**6), 10**6
     pairs = members.size**2
-    assert pairs < sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*sets._grid_shape(hi - lo + 1))  # not the FFT
+    assert pairs < sets._fft_cost(sets._grid_shape(hi - lo + 1))  # not the FFT
     direct_cost, priced = sets._direct_price(members.size, members.size, hi - lo + 1, count)
     assert direct_cost < sets._PAIRS_PER_SORT_STEP * pairs * math.log2(pairs)  # nor sorted pairs
     tracemalloc.start()
@@ -1065,7 +1110,7 @@ def test_sorted_pairs_stay_within_their_price(count):
     pairs = members.size**2
     sorted_cost = sets._PAIRS_PER_SORT_STEP * pairs * math.log2(pairs)
     assert sorted_cost < pairs + sets._PAIRS_PER_SLOT[count] * (hi - lo + 1)
-    assert sorted_cost < sets._PAIRS_PER_FFT_STEP * sets._grid_steps(*sets._grid_shape(hi - lo + 1))
+    assert sorted_cost < sets._fft_cost(sets._grid_shape(hi - lo + 1))
     priced = sets._sorted_bytes(pairs, hi - lo + 1, count)
     tracemalloc.start()
     try:
